@@ -123,27 +123,6 @@ BM_BackwardSlice(benchmark::State &state)
 }
 BENCHMARK(BM_BackwardSlice)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/** The seed's std::unordered_* live sets, kept as the measured baseline. */
-void
-BM_BackwardSliceLegacy(benchmark::State &state)
-{
-    SyntheticTrace trace(static_cast<int>(state.range(0)));
-    const auto cfgs = graph::buildCfgs(trace.machine.records(),
-                                       trace.machine.symtab());
-    const auto deps = graph::buildControlDeps(cfgs);
-    slicer::SlicerOptions options;
-    options.legacyLiveSets = true;
-    for (auto _ : state) {
-        auto slice = slicer::computeSlice(
-            trace.machine.records(), cfgs, deps,
-            trace.machine.pixelCriteria(), options);
-        benchmark::DoNotOptimize(slice.sliceInstructions);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            trace.machine.records().size());
-}
-BENCHMARK(BM_BackwardSliceLegacy)->Arg(10000)->Arg(100000);
-
 void
 BM_SparseByteSetInsertErase(benchmark::State &state)
 {
@@ -171,36 +150,6 @@ BM_SparseByteSetIntersects(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SparseByteSetIntersects);
-
-// The same live-set workloads on the seed's std::unordered_map chunk
-// storage, so the flat-hash gain is visible in one report.
-void
-BM_LegacySparseByteSetInsertErase(benchmark::State &state)
-{
-    LegacySparseByteSet set;
-    uint64_t addr = 0;
-    for (auto _ : state) {
-        set.insert(addr, 64);
-        benchmark::DoNotOptimize(set.testAndErase(addr, 64));
-        addr = (addr + 4096) & 0xFFFFFF;
-    }
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacySparseByteSetInsertErase);
-
-void
-BM_LegacySparseByteSetIntersects(benchmark::State &state)
-{
-    LegacySparseByteSet set;
-    for (uint64_t a = 0; a < 1 << 20; a += 128)
-        set.insert(a, 32);
-    uint64_t addr = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(set.intersects(addr, 16));
-        addr = (addr + 64) & ((1 << 20) - 1);
-    }
-}
-BENCHMARK(BM_LegacySparseByteSetIntersects);
 
 // FlatMap64 vs std::unordered_map on the chunk-map access pattern: a
 // churning working set of 64-bit keys with heavy lookup traffic.

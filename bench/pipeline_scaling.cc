@@ -5,23 +5,21 @@
  *   pipeline_scaling [--site bing|bing-load|amazon|amazon-mobile|maps]
  *                    [--max-jobs N] [--reps N] [--out FILE] [--quick]
  *
- * Measures the profiler's two passes over one benchmark trace:
- *  - baseline: the seed pipeline — serial forward pass, backward pass on
- *    the legacy std::unordered_map live sets;
- *  - sweep: the current pipeline at increasing thread counts — parallel
- *    per-function forward pass, and the epoch-parallel backward pass
- *    (transcode/stitch/resolve over trace epochs, slicer/epoch.hh) with
- *    backwardJobs set to the same thread count.
+ * Measures the profiler's two passes over one benchmark trace at
+ * increasing forward-pass thread counts: the per-function forward pass
+ * runs on N threads, the backward pass is the sequential walk. The
+ * baseline is the 1-job run of the same code, so every ratio is against
+ * the best simple path.
  *
- * Every configuration's slice is verified bit-identical to the baseline
- * before any number is reported. Results go to stdout as a table and to
+ * Every configuration's slice is verified bit-identical to a separate
+ * 1-job reference run before any number is reported. Results go to stdout as a table and to
  * BENCH_profiler.json (machine readable) so the perf trajectory can be
  * tracked across commits; CI uploads the JSON as an artifact.
  *
- * Measurement protocol: with --reps N the baseline and every sweep
- * configuration are measured N times *interleaved* (baseline, then each
- * configuration, repeated), and the reported speedup is the median of
- * the per-rep ratios. On shared or frequency-scaled machines the CPU
+ * Measurement protocol: with --reps N every configuration is measured N
+ * times *interleaved* (each job count in turn, repeated), and the
+ * reported speedup is the median of the per-rep ratios to that rep's
+ * 1-job run. On shared or frequency-scaled machines the CPU
  * drifts between phases; measuring baseline and optimized back to back
  * within each rep makes the ratio robust to that drift, where separate
  * best-of phases are not. Throughput columns show each configuration's
@@ -61,8 +59,8 @@ struct Sample
 
 /** One timed run of the full pipeline in one configuration. */
 Sample
-runOnce(const workloads::RunResult &run, int jobs, bool legacy_live_sets,
-        const slicer::SliceResult *expect)
+runOnce(const workloads::RunResult &run, int jobs,
+        const slicer::SliceResult &expect)
 {
     Sample s;
     s.jobs = jobs;
@@ -73,18 +71,15 @@ runOnce(const workloads::RunResult &run, int jobs, bool legacy_live_sets,
     const auto deps = graph::buildControlDeps(cfgs, jobs);
     const double t1 = bench::nowSeconds();
 
-    slicer::SlicerOptions options = bench::windowedOptions(run);
-    options.legacyLiveSets = legacy_live_sets;
-    if (!legacy_live_sets)
-        options.backwardJobs = jobs;
+    const slicer::SlicerOptions options = bench::windowedOptions(run);
     const auto slice = slicer::computeSlice(
         run.records(), cfgs, deps, run.machine->pixelCriteria(), options);
     const double t2 = bench::nowSeconds();
 
-    if (expect && slice.inSlice != expect->inSlice) {
+    if (slice.inSlice != expect.inSlice) {
         std::fprintf(stderr,
                      "FATAL: slice mismatch at jobs=%d "
-                     "(parallel pipeline is not bit-identical)\n",
+                     "(parallel forward pass is not bit-identical)\n",
                      jobs);
         std::exit(1);
     }
@@ -139,14 +134,6 @@ forwardSpeedup(const std::vector<Sample> &base,
 {
     return medianSpeedup(
         base, conf, [](const Sample &s) { return s.forwardSeconds; });
-}
-
-double
-backwardSpeedup(const std::vector<Sample> &base,
-                const std::vector<Sample> &conf)
-{
-    return medianSpeedup(
-        base, conf, [](const Sample &s) { return s.backwardSeconds; });
 }
 
 double
@@ -227,7 +214,7 @@ main(int argc, char **argv)
     }
 
     bench::printHeader("Profiler pipeline scaling: threaded forward pass "
-                       "+ flat-hash backward pass");
+                       "+ sequential backward pass");
 
     std::printf("running %s ...\n", spec.name.c_str());
     workloads::RunResult run = [&] {
@@ -239,18 +226,16 @@ main(int argc, char **argv)
                 withCommas(records).c_str(),
                 withCommas(bench::analysisEnd(run)).c_str());
 
-    // The baseline's slice is the reference every configuration must
-    // reproduce exactly.
+    // The serial pipeline's slice is the reference every configuration
+    // must reproduce exactly.
     const auto reference = [&] {
         ScopedPhase phase("reference");
         const auto base_cfgs = graph::buildCfgs(run.records(),
                                                 run.machine->symtab(), 1);
         const auto base_deps = graph::buildControlDeps(base_cfgs, 1);
-        slicer::SlicerOptions base_options = bench::windowedOptions(run);
-        base_options.legacyLiveSets = true;
         return slicer::computeSlice(run.records(), base_cfgs, base_deps,
                                     run.machine->pixelCriteria(),
-                                    base_options);
+                                    bench::windowedOptions(run));
     }();
 
     std::vector<int> job_counts;
@@ -259,62 +244,50 @@ main(int argc, char **argv)
     if (job_counts.back() != max_jobs)
         job_counts.push_back(max_jobs);
 
-    // Interleaved measurement: each rep times the baseline (serial
-    // forward pass + legacy unordered_map live sets — the pipeline as it
-    // was before this optimization round) back to back with every sweep
-    // configuration, so per-rep ratios are immune to machine-speed drift
-    // between phases.
-    std::vector<Sample> base_reps;
+    // Interleaved measurement: each rep times every job count back to
+    // back, so per-rep ratios to the rep's 1-job run are immune to
+    // machine-speed drift between phases. job_counts[0] is 1: the
+    // baseline.
     std::vector<std::vector<Sample>> conf_reps(job_counts.size());
     {
         ScopedPhase phase("measure");
         for (int rep = 0; rep < reps; ++rep) {
-            base_reps.push_back(runOnce(run, 1, /*legacy=*/true, nullptr));
             for (size_t c = 0; c < job_counts.size(); ++c)
-                conf_reps[c].push_back(runOnce(run, job_counts[c],
-                                               /*legacy=*/false,
-                                               &reference));
+                conf_reps[c].push_back(
+                    runOnce(run, job_counts[c], reference));
         }
     }
-
+    const std::vector<Sample> &base_reps = conf_reps.front();
     const Sample base = bestOf(base_reps);
-    std::printf("%-28s %12s %12s %9s %9s %9s\n", "configuration",
-                "fwd Mrec/s", "bwd Mrec/s", "fwd", "bwd", "total");
-    std::printf("%-28s %12.2f %12.2f %8.2fx %8.2fx %8.2fx\n",
-                "baseline (seed pipeline)",
-                recordsPerSec(records, base.forwardSeconds) / 1e6,
-                recordsPerSec(records, base.backwardSeconds) / 1e6, 1.0,
-                1.0, 1.0);
 
+    std::printf("%-28s %12s %12s %9s %9s\n", "configuration",
+                "fwd Mrec/s", "bwd Mrec/s", "fwd", "total");
     std::vector<Sample> sweep;
     std::vector<double> speedups;
     std::vector<double> fwd_speedups;
-    std::vector<double> bwd_speedups;
     double speedup_at_4 = 0.0;
-    double bwd_speedup_at_4 = 0.0;
+    double fwd_speedup_at_4 = 0.0;
     for (size_t c = 0; c < job_counts.size(); ++c) {
         const Sample s = bestOf(conf_reps[c]);
         const double speedup = totalSpeedup(base_reps, conf_reps[c]);
         const double fwd = forwardSpeedup(base_reps, conf_reps[c]);
-        const double bwd = backwardSpeedup(base_reps, conf_reps[c]);
         sweep.push_back(s);
         speedups.push_back(speedup);
         fwd_speedups.push_back(fwd);
-        bwd_speedups.push_back(bwd);
         if (job_counts[c] == 4) {
             speedup_at_4 = speedup;
-            bwd_speedup_at_4 = bwd;
+            fwd_speedup_at_4 = fwd;
         }
-        std::printf("%-28s %12.2f %12.2f %8.2fx %8.2fx %8.2fx\n",
-                    format("optimized, %d job%s", job_counts[c],
+        std::printf("%-28s %12.2f %12.2f %8.2fx %8.2fx\n",
+                    format("forward pass, %d job%s", job_counts[c],
                            job_counts[c] == 1 ? "" : "s")
                         .c_str(),
                     recordsPerSec(records, s.forwardSeconds) / 1e6,
                     recordsPerSec(records, s.backwardSeconds) / 1e6, fwd,
-                    bwd, speedup);
+                    speedup);
     }
     std::printf("\nall configurations verified bit-identical to the "
-                "baseline slice.\n");
+                "reference slice.\n");
 
     // ---- machine-readable output -------------------------------------------
     // Same webslice-metrics-v1 schema as `webslice-profile --metrics-json`:
@@ -327,8 +300,6 @@ main(int argc, char **argv)
                    << sampleFieldsJson(sweep[i], records)
                    << format(", \"forward_speedup_vs_baseline\": %.3f",
                              fwd_speedups[i])
-                   << format(", \"backward_speedup_vs_baseline\": %.3f",
-                             bwd_speedups[i])
                    << format(", \"end_to_end_speedup_vs_baseline\": %.3f}",
                              speedups[i])
                    << (i + 1 < sweep.size() ? ",\n" : "\n");
@@ -343,7 +314,7 @@ main(int argc, char **argv)
         {"baseline", "{" + sampleFieldsJson(base, records) + "}"},
         {"sweep", sweep_json.str()},
         {"end_to_end_speedup_at_4_jobs", format("%.3f", speedup_at_4)},
-        {"backward_speedup_at_4_jobs", format("%.3f", bwd_speedup_at_4)},
+        {"forward_speedup_at_4_jobs", format("%.3f", fwd_speedup_at_4)},
     };
     writeMetricsReport(out_path, MetricRegistry::global(),
                        "pipeline_scaling", extras);

@@ -16,12 +16,11 @@
  *
  *  - session build: the one-time forward pass a fresh daemon pays for
  *    a recording, reported separately from any per-criterion cost;
- *  - per-criterion backward latency, cold vs warm: the same set of
- *    distinct criteria (mode x backward-jobs, one shared window) is
- *    sliced against a daemon started with --no-plan-cache (every query
- *    pays the full transcode: the cold baseline) and against a default
- *    daemon whose second-and-later criteria hit the cached epoch plan.
- *    The ratio of the medians is `warm_backward_speedup`;
+ *  - per-criterion backward latency, cold vs warm: a set of distinct
+ *    criteria (mode x window end) is sent to one daemon with a warm
+ *    session. Cold is each criterion's first query (a backward pass),
+ *    warm is its repeat (answered from the result cache). The ratio of
+ *    the medians is `warm_backward_speedup`;
  *  - warm throughput: single-query batches at 1, 4, and 8 concurrent
  *    client connections — queries/sec plus p50/p99 round trip latency.
  *
@@ -123,28 +122,31 @@ percentile(std::vector<double> sorted, double p)
 }
 
 /**
- * The per-criterion workload: `count` distinct criteria over the one
- * shared (default) window. Distinctness comes from mode x backward-jobs
- * so none of them dedup, yet all of them resolve to the same epoch
- * plan — exactly the "many criteria, one session" pattern the plan
- * cache exists for.
+ * The per-criterion workload: `count` distinct criteria, alternating
+ * modes over window ends just below `window_end`, so no two of them
+ * dedup or share a cached result — the "many criteria, one session"
+ * pattern. The windows ignore the metadata load-complete cap, which
+ * would otherwise fold them into one on load-only sites.
  */
 std::vector<service::SliceQuery>
-criterionSet(size_t count)
+criterionSet(size_t count, size_t window_end)
 {
     std::vector<service::SliceQuery> queries(count);
     for (size_t i = 0; i < count; ++i) {
         queries[i].mode = i % 2 ? slicer::CriteriaMode::Syscalls
                                 : slicer::CriteriaMode::PixelBuffer;
-        queries[i].backwardJobs = 1 + static_cast<int>(i / 2);
+        queries[i].noWindow = true;
+        queries[i].endIndex = window_end - 1 - i / 2;
     }
     return queries;
 }
 
 struct CriterionSample
 {
-    std::vector<double> sliceMs; ///< Backward pass only, per criterion.
-    size_t planHits = 0;
+    /** Backward pass (or the result-cache lookup that replaced it),
+     *  per criterion. */
+    std::vector<double> sliceMs;
+    size_t memoHits = 0;
 
     double median() const { return percentile(sliceMs, 50.0); }
     double p99() const { return percentile(sliceMs, 99.0); }
@@ -175,7 +177,7 @@ runCriteria(const std::string &socket_path, const std::string &prefix,
             std::exit(1);
         }
         sample.sliceMs.push_back(outcome.results[0].sliceMs);
-        sample.planHits += outcome.results[0].planHit ? 1 : 0;
+        sample.memoHits += outcome.results[0].memoHit ? 1 : 0;
     }
     return sample;
 }
@@ -196,8 +198,9 @@ struct WarmSample
 
 /**
  * `clients` concurrent connections each issue `per_client` single-query
- * batches; every query carries a unique window end (derived from the
- * client and iteration indices) so none dedup.
+ * batches; every query carries a unique window end at or below
+ * `window_base` (derived from the client and iteration indices) so none
+ * dedup or hit the result cache.
  */
 WarmSample
 runWarm(const std::string &socket_path, const std::string &prefix,
@@ -218,6 +221,7 @@ runWarm(const std::string &socket_path, const std::string &prefix,
             }
             for (size_t i = 0; i < per_client; ++i) {
                 service::SliceQuery query;
+                query.noWindow = true;
                 query.endIndex =
                     window_base - (static_cast<size_t>(c) * per_client + i);
                 service::ServiceClient::BatchOutcome outcome;
@@ -476,42 +480,39 @@ main(int argc, char **argv)
     const char *tmp = std::getenv("TMPDIR");
     const std::string prefix =
         std::string(tmp ? tmp : "/tmp") + "/bench_service_trace";
-    const std::string cold_socket =
-        std::string(tmp ? tmp : "/tmp") + "/bench_service_cold.sock";
     const std::string socket_path =
         std::string(tmp ? tmp : "/tmp") + "/bench_service.sock";
     saveArtifacts(run, spec, prefix);
 
-    const auto criteria = criterionSet(queries);
+    const size_t records = run.records().size();
+    const auto criteria = criterionSet(queries, records);
 
     std::printf("site %s: %s records, %zu criteria "
-                "(mode x backward-jobs, shared window)\n",
-                spec.name.c_str(),
-                withCommas(run.records().size()).c_str(), queries);
+                "(mode x window end)\n",
+                spec.name.c_str(), withCommas(records).c_str(), queries);
 
-    // ---- phase 1: plans disabled — session build + cold criteria -----------
-    // One throwaway query builds the session so the criterion loop below
-    // measures the backward pass alone; with --no-plan-cache semantics
-    // every criterion re-transcodes the window from scratch. This is
-    // what each query cost before plan caching existed.
+    service::ServerOptions options;
+    options.socketPath = socket_path;
+    options.workers = 8;
+    service::Server server(options);
+    std::thread serving([&] { server.run(); });
+
+    // ---- session build -----------------------------------------------------
+    // One query outside the criterion set (whole trace, a window no
+    // criterion uses) builds the session, so the criterion loops below
+    // measure the backward pass alone.
     double session_build_ms = 0.0;
-    CriterionSample cold;
     {
-        service::ServerOptions options;
-        options.socketPath = cold_socket;
-        options.workers = 2;
-        options.usePlans = false;
-        service::Server server(options);
-        std::thread serving([&] { server.run(); });
-
         service::ServiceClient client;
         std::string error;
-        if (!client.connectUnix(cold_socket, error)) {
+        if (!client.connectUnix(socket_path, error)) {
             std::fprintf(stderr, "connect: %s\n", error.c_str());
             return 1;
         }
+        service::SliceQuery build;
+        build.noWindow = true;
         service::ServiceClient::BatchOutcome outcome;
-        if (!client.batch(prefix, {criteria[0]}, outcome, error) ||
+        if (!client.batch(prefix, {build}, outcome, error) ||
             outcome.ok != 1) {
             std::fprintf(stderr, "session build failed: %s\n",
                          error.c_str());
@@ -519,94 +520,32 @@ main(int argc, char **argv)
         }
         session_build_ms =
             outcome.results[0].runMs - outcome.results[0].sliceMs;
-
-        cold = runCriteria(cold_socket, prefix, criteria);
-        client.close();
-        server.requestShutdown();
-        serving.join();
     }
     std::printf("  session build (forward pass, once): %8.1f ms\n",
                 session_build_ms);
-    std::printf("  cold criterion (no plan cache): p50 %8.2f ms  "
-                "p99 %8.2f ms\n",
-                cold.median(), cold.p99());
 
-    // ---- phase 2: plans enabled — warm criteria + throughput ---------------
-    service::ServerOptions options;
-    options.socketPath = socket_path;
-    options.workers = 8;
-    service::Server server(options);
-    std::thread serving([&] { server.run(); });
-
-    // Warm-up: builds this daemon's session, the shared epoch plan, and
-    // one slice per mode, so the mixed sample below measures what a
-    // saturated daemon serves — repeats of already-seen criteria.
-    {
-        service::ServiceClient client;
-        std::string error;
-        if (!client.connectUnix(socket_path, error)) {
-            std::fprintf(stderr, "connect: %s\n", error.c_str());
-            return 1;
-        }
-        for (size_t i = 0; i < std::min<size_t>(2, criteria.size());
-             ++i) {
-            service::ServiceClient::BatchOutcome outcome;
-            if (!client.batch(prefix, {criteria[i]}, outcome, error) ||
-                outcome.ok != 1) {
-                std::fprintf(stderr, "plan warm-up failed: %s\n",
-                             error.c_str());
-                return 1;
-            }
-        }
-    }
+    // ---- cold vs warm criteria ---------------------------------------------
+    // Cold: each criterion's first query runs the backward pass. Warm:
+    // the identical repeat is answered from the result cache.
+    const CriterionSample cold = runCriteria(socket_path, prefix, criteria);
     const CriterionSample warm = runCriteria(socket_path, prefix, criteria);
-
-    // The full epoch replay a warm query pays when its criterion is new
-    // to the plan: prime a fresh window's plan with a pixel query, then
-    // time a syscalls query — a plan hit that cannot be answered from
-    // the per-plan result memo.
-    CriterionSample plan_walk;
-    {
-        service::ServiceClient client;
-        std::string error;
-        if (!client.connectUnix(socket_path, error)) {
-            std::fprintf(stderr, "connect: %s\n", error.c_str());
-            return 1;
-        }
-        for (size_t k = 1; k <= 3; ++k) {
-            service::SliceQuery prime;
-            prime.endIndex = run.records().size() / 2 - k;
-            service::SliceQuery probe = prime;
-            probe.mode = slicer::CriteriaMode::Syscalls;
-            service::ServiceClient::BatchOutcome outcome;
-            if (!client.batch(prefix, {prime}, outcome, error) ||
-                outcome.ok != 1 ||
-                !client.batch(prefix, {probe}, outcome, error) ||
-                outcome.ok != 1) {
-                std::fprintf(stderr, "plan-walk sample failed: %s\n",
-                             error.c_str());
-                return 1;
-            }
-            plan_walk.sliceMs.push_back(outcome.results[0].sliceMs);
-            plan_walk.planHits += outcome.results[0].planHit ? 1 : 0;
-        }
-    }
-
     const double speedup =
         warm.median() > 0.0 ? cold.median() / warm.median() : 0.0;
-    std::printf("  warm criterion (repeat, cached plan + memo): "
-                "p50 %8.2f ms  p99 %8.2f ms  (%zu/%zu plan hits)\n",
-                warm.median(), warm.p99(), warm.planHits,
+    std::printf("  cold criterion (first query):  p50 %8.2f ms  "
+                "p99 %8.2f ms  (%zu/%zu memo hits)\n",
+                cold.median(), cold.p99(), cold.memoHits,
+                cold.sliceMs.size());
+    std::printf("  warm criterion (repeat):       p50 %8.3f ms  "
+                "p99 %8.3f ms  (%zu/%zu memo hits)\n",
+                warm.median(), warm.p99(), warm.memoHits,
                 warm.sliceMs.size());
-    std::printf("  warm criterion (new to plan, full replay):   "
-                "p50 %8.2f ms  (half window, %zu/%zu plan hits)\n",
-                plan_walk.median(), plan_walk.planHits,
-                plan_walk.sliceMs.size());
     std::printf("  warm_backward_speedup: %.2fx\n\n", speedup);
 
     // ---- warm throughput at increasing client counts -----------------------
     const size_t per_client = quick ? 4 : 16;
-    const size_t window_base = run.records().size();
+    // Below every criterion's window, and lowered after each phase, so
+    // no throughput query is a repeat.
+    size_t window_base = records - queries;
     std::vector<WarmSample> samples;
     std::printf("%8s %10s %12s %10s %10s\n", "clients", "queries",
                 "queries/s", "p50 ms", "p99 ms");
@@ -614,6 +553,7 @@ main(int argc, char **argv)
         const auto sample = runWarm(socket_path, prefix, clients,
                                     per_client, window_base);
         samples.push_back(sample);
+        window_base -= static_cast<size_t>(clients) * per_client;
         std::printf("%8d %10zu %12.2f %10.2f %10.2f\n", sample.clients,
                     sample.queries, sample.queriesPerSecond(),
                     sample.p50Ms, sample.p99Ms);
@@ -621,12 +561,12 @@ main(int argc, char **argv)
 
     const auto cache = server.cache().stats();
     std::printf("\nsessions built %llu, cache hits %llu, misses %llu; "
-                "plans built %llu, plan hits %llu\n",
+                "result hits %llu, misses %llu\n",
                 static_cast<unsigned long long>(cache.built),
                 static_cast<unsigned long long>(cache.hits),
                 static_cast<unsigned long long>(cache.misses),
-                static_cast<unsigned long long>(cache.planBuilds),
-                static_cast<unsigned long long>(cache.planHits));
+                static_cast<unsigned long long>(cache.resultHits),
+                static_cast<unsigned long long>(cache.resultMisses));
 
     server.requestShutdown();
     serving.join();
@@ -674,13 +614,11 @@ main(int argc, char **argv)
           << format("%.3f", warm.median()) << ",\n"
           << "    \"warm_criterion_p99_ms\": "
           << format("%.3f", warm.p99()) << ",\n"
-          << "    \"warm_plan_hits\": " << warm.planHits << ",\n"
-          << "    \"warm_plan_walk_half_window_p50_ms\": "
-          << format("%.3f", plan_walk.median()) << ",\n"
+          << "    \"warm_memo_hits\": " << warm.memoHits << ",\n"
           << "    \"warm_backward_speedup\": "
           << format("%.3f", speedup) << ",\n"
           << "    \"sessions_built\": " << cache.built << ",\n"
-          << "    \"plans_built\": " << cache.planBuilds << ",\n"
+          << "    \"result_hits\": " << cache.resultHits << ",\n"
           << "    \"warm\": [";
     for (size_t i = 0; i < samples.size(); ++i) {
         const auto &s = samples[i];

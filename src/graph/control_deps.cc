@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "graph/postdom.hh"
 #include "support/logging.hh"
@@ -19,20 +20,12 @@ ControlDepMap::depsOf(FuncId func, Pc pc) const
 {
     if (!sealed_)
         seal();
-    const uint64_t *entry = index_.find(key(func, pc));
+    // Const lookup: concurrent backward passes share one sealed map.
+    const uint64_t *entry = std::as_const(index_).find(key(func, pc));
     if (!entry)
         return {};
     return {pool_.data() + (*entry >> 20),
             static_cast<size_t>(*entry & 0xFFFFF)};
-}
-
-std::span<const Pc>
-ControlDepMap::depsOfUnindexed(FuncId func, Pc pc) const
-{
-    auto it = deps_.find(key(func, pc));
-    if (it == deps_.end())
-        return {};
-    return it->second;
 }
 
 void
@@ -57,20 +50,6 @@ ControlDepMap::ensureSealed() const
 {
     if (!sealed_)
         seal();
-}
-
-std::vector<Pc>
-ControlDepMap::branchUniverse() const
-{
-    std::vector<Pc> universe;
-    universe.reserve(deps_.size());
-    for (const auto &kv : deps_)
-        universe.insert(universe.end(), kv.second.begin(),
-                        kv.second.end());
-    std::sort(universe.begin(), universe.end());
-    universe.erase(std::unique(universe.begin(), universe.end()),
-                   universe.end());
-    return universe;
 }
 
 void

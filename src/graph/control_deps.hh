@@ -40,8 +40,9 @@ namespace graph {
  * probes this map for every in-slice record — and most probes miss —
  * so the index is a single open-addressing lookup, not a node-based
  * unordered_map walk. Lazy sealing means the first depsOf() after an
- * add()/load() is not safe to race with other depsOf() calls; the
- * profiler's backward pass is single-threaded, which satisfies that.
+ * add()/load() is not safe to race with other depsOf() calls; once
+ * sealed, depsOf() only reads, so concurrent backward passes may share
+ * the map (see ensureSealed()).
  */
 class ControlDepMap
 {
@@ -51,30 +52,13 @@ class ControlDepMap
                                       trace::Pc pc) const;
 
     /**
-     * depsOf() answered from the node-based map, bypassing the flat
-     * index — the pre-optimization lookup path, kept callable so the
-     * benchmarks' legacy baseline measures what the seed profiler did.
-     */
-    std::span<const trace::Pc> depsOfUnindexed(trace::FuncId func,
-                                               trace::Pc pc) const;
-
-    /**
      * Force the lazy query index to be built now. depsOf() seals on
      * first use, which is not safe to race from several threads; any
-     * driver that will query the map from worker threads (the
-     * epoch-parallel slicer's transcode phase) must call this once
-     * beforehand from a single thread.
+     * caller that will query the map from worker threads (the slicing
+     * service runs concurrent backward passes over one session) must
+     * call this once beforehand from a single thread.
      */
     void ensureSealed() const;
-
-    /**
-     * Sorted, deduplicated branch pcs that appear in at least one
-     * dependence list. A Branch record whose pc is not in this set can
-     * never satisfy a pending-branch entry — pending sets only ever
-     * receive pcs from these lists — which is what lets the
-     * epoch-parallel transcoder drop such branches as state no-ops.
-     */
-    std::vector<trace::Pc> branchUniverse() const;
 
     /** Add one dependence (deduplicated). */
     void add(trace::FuncId func, trace::Pc pc, trace::Pc branch_pc);

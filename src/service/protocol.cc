@@ -131,10 +131,10 @@ writeFrame(int fd, std::string_view payload, std::string &error,
 std::string
 SliceQuery::dedupKey(uint64_t session_identity) const
 {
-    return format("%016llx|%s|%d|%llu|%d|%llu",
+    return format("%016llx|%s|%d|%llu|%llu",
                   static_cast<unsigned long long>(session_identity),
                   modeName(mode), noWindow ? 1 : 0,
-                  static_cast<unsigned long long>(endIndex), backwardJobs,
+                  static_cast<unsigned long long>(endIndex),
                   static_cast<unsigned long long>(debugSleepMs));
 }
 
@@ -147,8 +147,6 @@ SliceQuery::toJson() const
         j.set("no_window", Json::boolean(true));
     if (endIndex != UINT64_MAX)
         j.set("end_index", Json::integer(static_cast<int64_t>(endIndex)));
-    if (backwardJobs != 1)
-        j.set("backward_jobs", Json::integer(backwardJobs));
     if (timeoutMs != 0)
         j.set("timeout_ms",
               Json::integer(static_cast<int64_t>(timeoutMs)));
@@ -192,13 +190,6 @@ SliceQuery::fromJson(const Json &json, SliceQuery &out, std::string &error)
                 return false;
             }
             out.endIndex = static_cast<uint64_t>(value.asInt());
-        } else if (key == "backward_jobs") {
-            if (!value.isInt() || value.asInt() < 0 ||
-                value.asInt() > (1 << 16)) {
-                error = "backward_jobs must be an integer in [0, 65536]";
-                return false;
-            }
-            out.backwardJobs = static_cast<int>(value.asInt());
         } else if (key == "timeout_ms") {
             if (!value.isInt() || value.asInt() < 0) {
                 error = "timeout_ms must be a non-negative integer";
@@ -250,7 +241,7 @@ QueryResult::toJson(size_t id) const
               Json::integer(static_cast<int64_t>(shardEpoch)));
     }
     j.set("cache_hit", Json::boolean(cacheHit));
-    j.set("plan_hit", Json::boolean(planHit));
+    j.set("memo_hit", Json::boolean(memoHit));
     j.set("deduped", Json::boolean(deduped));
     j.set("queue_ms", Json::number(queueMs));
     j.set("run_ms", Json::number(runMs));
@@ -317,8 +308,8 @@ QueryResult::fromJson(const Json &json, QueryResult &out,
         out.shardEpoch = static_cast<uint64_t>(v->asInt());
     if (const Json *v = json.find("cache_hit"))
         out.cacheHit = v->asBool();
-    if (const Json *v = json.find("plan_hit"))
-        out.planHit = v->asBool();
+    if (const Json *v = json.find("memo_hit"))
+        out.memoHit = v->asBool();
     if (const Json *v = json.find("deduped"))
         out.deduped = v->asBool();
     if (const Json *v = json.find("queue_ms"))

@@ -84,9 +84,6 @@ struct SliceQuery
     /** Extra window cap (exclusive record index); UINT64_MAX = none. */
     uint64_t endIndex = UINT64_MAX;
 
-    /** Backward-pass worker threads for this query (1 = sequential). */
-    int backwardJobs = 1;
-
     /** Queue deadline in milliseconds; 0 = wait however long it takes.
      *  Checked when the query is dequeued, before its run starts. */
     uint64_t timeoutMs = 0;
@@ -110,8 +107,33 @@ struct SliceQuery
                          std::string &error);
 };
 
-/** One query's response, as carried by a "result" frame. */
-struct QueryResult
+/**
+ * The slice-and-category part of a query's response. It depends only on
+ * the recording, the criteria mode and the resolved window end, which is
+ * what lets the session cache keep it for repeated queries.
+ */
+struct SliceSummary
+{
+    std::string mode;
+    uint64_t records = 0;
+    uint64_t windowEnd = 0;
+    uint64_t instructionsAnalyzed = 0;
+    uint64_t sliceInstructions = 0;
+    uint64_t criteriaBytesSeeded = 0;
+    double slicePercent = 0.0;
+    /** FNV-1a-64 of the per-record verdict bytes — the bit-identity
+     *  handle compared against webslice-profile's in_slice_fnv1a. */
+    uint64_t inSliceFnv1a = 0;
+
+    double categoryCoveragePercent = 0.0;
+    std::vector<std::pair<std::string, double>> categoryShares;
+};
+
+/**
+ * One query's response, as carried by a "result" frame: the summary
+ * (valid when status == Ok) plus status and scheduling telemetry.
+ */
+struct QueryResult : SliceSummary
 {
     enum class Status
     {
@@ -133,27 +155,13 @@ struct QueryResult
 
     // Scheduling telemetry.
     bool cacheHit = false; ///< Session served from the cache.
-    bool planHit = false;  ///< Reused a cached epoch plan (warm query).
+    bool memoHit = false;  ///< Summary served from the result cache.
     bool deduped = false;  ///< Attached to an identical in-flight query.
     double queueMs = 0.0;
     double runMs = 0.0;
-    double sliceMs = 0.0; ///< Backward pass only (inside runMs).
-
-    // Slice summary (valid when status == Ok).
-    std::string mode;
-    uint64_t records = 0;
-    uint64_t windowEnd = 0;
-    uint64_t instructionsAnalyzed = 0;
-    uint64_t sliceInstructions = 0;
-    uint64_t criteriaBytesSeeded = 0;
-    double slicePercent = 0.0;
-    /** FNV-1a-64 of the per-record verdict bytes — the bit-identity
-     *  handle compared against webslice-profile's in_slice_fnv1a. */
-    uint64_t inSliceFnv1a = 0;
-
-    // Categorization summary (valid when status == Ok).
-    double categoryCoveragePercent = 0.0;
-    std::vector<std::pair<std::string, double>> categoryShares;
+    /** Backward pass only (inside runMs); on a result-cache hit, the
+     *  lookup that replaced it. */
+    double sliceMs = 0.0;
 
     static const char *statusName(Status s);
 

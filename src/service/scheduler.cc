@@ -20,6 +20,47 @@ millisSince(std::chrono::steady_clock::time_point from,
     return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+/** Slice and categorize one query; `slice_ms` gets the backward pass's
+ *  wall time. */
+SliceSummary
+summarize(const Session &session, slicer::CriteriaMode mode,
+          size_t window_end, double &slice_ms)
+{
+    slicer::SlicerOptions options;
+    options.mode = mode;
+    options.endIndex = window_end;
+    const auto records = session.trace->records();
+    const auto slice_start = std::chrono::steady_clock::now();
+    const auto slice = slicer::computeSlice(
+        records, session.cfgs, session.deps, session.sidecars.criteria,
+        options);
+    slice_ms = millisSince(slice_start, std::chrono::steady_clock::now());
+
+    SliceSummary summary;
+    summary.mode = mode == slicer::CriteriaMode::PixelBuffer
+                       ? "pixel-buffer"
+                       : "syscalls";
+    summary.records = records.size();
+    summary.windowEnd = slice.analyzedWindowEnd;
+    summary.instructionsAnalyzed = slice.instructionsAnalyzed;
+    summary.sliceInstructions = slice.sliceInstructions;
+    summary.criteriaBytesSeeded = slice.criteriaBytesSeeded;
+    summary.slicePercent = slice.slicePercent();
+    summary.inSliceFnv1a =
+        fnv1a64(slice.inSlice.data(), slice.inSlice.size());
+
+    const auto dist = analysis::categorizeUnnecessary(
+        records, slice.inSlice, session.cfgs, session.sidecars.symtab,
+        analysis::Categorizer::chromiumDefault(), slice.analyzedWindowEnd);
+    summary.categoryCoveragePercent = dist.coveragePercent();
+    for (const auto &category : analysis::Categorizer::reportOrder()) {
+        const double share = dist.sharePercent(category);
+        if (share > 0.0)
+            summary.categoryShares.emplace_back(category, share);
+    }
+    return summary;
+}
+
 } // namespace
 
 const QueryResult &
@@ -40,8 +81,7 @@ Job::done() const
 Scheduler::Scheduler(SessionCache &cache, const Options &options)
     : cache_(cache),
       pool_(static_cast<unsigned>(std::max(1, options.workers))),
-      maxQueue_(std::max<size_t>(1, options.maxQueue)),
-      usePlans_(options.usePlans)
+      maxQueue_(std::max<size_t>(1, options.maxQueue))
 {
 }
 
@@ -179,58 +219,20 @@ Scheduler::runJob(const std::shared_ptr<Job> &job)
         const auto session = cache_.acquire(job->prefix_, &cache_hit);
         result.cacheHit = cache_hit;
 
-        slicer::SlicerOptions options;
-        options.mode = job->query_.mode;
-        options.backwardJobs = job->query_.backwardJobs;
-        options.endIndex = session->windowEnd(job->query_.noWindow,
-                                              job->query_.endIndex);
-
-        // Route through the cached criterion-independent transcode:
-        // first query over this (recording, window) builds the plan
-        // (singleflight), warm ones skip the transcode pass entirely.
-        // The shared_ptr keeps the plan (and the session it points
-        // into) alive for the duration of the slice.
-        std::shared_ptr<const slicer::EpochPlan> plan;
-        bool plan_hit = false;
-        if (usePlans_) {
-            plan = cache_.acquirePlan(session, options.endIndex,
-                                      &plan_hit);
-            options.reusePlan = plan.get();
-        }
-        result.planHit = plan_hit;
-
-        const auto records = session->trace->records();
-        const auto slice_start = std::chrono::steady_clock::now();
-        const auto slice = slicer::computeSlice(
-            records, session->cfgs, session->deps,
-            session->sidecars.criteria, options);
-        result.sliceMs = millisSince(slice_start,
-                                     std::chrono::steady_clock::now());
-
-        result.mode = job->query_.mode ==
-                              slicer::CriteriaMode::PixelBuffer
-                          ? "pixel-buffer"
-                          : "syscalls";
-        result.records = records.size();
-        result.windowEnd = slice.analyzedWindowEnd;
-        result.instructionsAnalyzed = slice.instructionsAnalyzed;
-        result.sliceInstructions = slice.sliceInstructions;
-        result.criteriaBytesSeeded = slice.criteriaBytesSeeded;
-        result.slicePercent = slice.slicePercent();
-        result.inSliceFnv1a =
-            fnv1a64(slice.inSlice.data(), slice.inSlice.size());
-
-        const auto dist = analysis::categorizeUnnecessary(
-            records, slice.inSlice, session->cfgs,
-            session->sidecars.symtab,
-            analysis::Categorizer::chromiumDefault(),
-            slice.analyzedWindowEnd);
-        result.categoryCoveragePercent = dist.coveragePercent();
-        for (const auto &category :
-             analysis::Categorizer::reportOrder()) {
-            const double share = dist.sharePercent(category);
-            if (share > 0.0)
-                result.categoryShares.emplace_back(category, share);
+        const slicer::CriteriaMode mode = job->query_.mode;
+        const size_t window_end = session->windowEnd(
+            job->query_.noWindow, job->query_.endIndex);
+        SliceSummary &summary = result;
+        const auto lookup_start = std::chrono::steady_clock::now();
+        if (auto cached = cache_.findResult(*session, mode, window_end)) {
+            summary = std::move(*cached);
+            result.memoHit = true;
+            result.sliceMs = millisSince(
+                lookup_start, std::chrono::steady_clock::now());
+        } else {
+            summary = summarize(*session, mode, window_end,
+                                result.sliceMs);
+            cache_.storeResult(*session, mode, window_end, summary);
         }
         result.status = QueryResult::Status::Ok;
     } catch (const std::exception &e) {

@@ -4,9 +4,9 @@
  *
  * Each slicing criterion of a batch becomes one Job run on the shared
  * ThreadPool, so a batch of N criteria against one session executes
- * its backward passes concurrently (each query may additionally use
- * the epoch-parallel slicer internally via backward_jobs). Robustness
- * is part of the contract:
+ * its backward passes concurrently. A query whose (recording, mode,
+ * window) was answered before is served from the session cache's result
+ * cache without a backward pass. Robustness is part of the contract:
  *
  *  - bounded queue: submissions beyond the configured depth are
  *    rejected immediately (429-style backpressure) instead of growing
@@ -79,15 +79,6 @@ class Scheduler
 
         /** Queued + running ceiling before submissions are rejected. */
         size_t maxQueue = 64;
-
-        /**
-         * Route queries through cached EpochPlans: the first query over
-         * a (recording, window) pays one transcode, every later one
-         * skips that pass entirely (plus any epochs its live set
-         * provably never reaches). Results are bit-identical either
-         * way; off is the cold-path baseline for benchmarks.
-         */
-        bool usePlans = true;
     };
 
     Scheduler(SessionCache &cache, const Options &options);
@@ -155,7 +146,6 @@ class Scheduler
     ThreadPool pool_;
     TaskGroup group_;
     const size_t maxQueue_;
-    const bool usePlans_;
 
     mutable std::mutex mutex_;
     size_t inQueue_ = 0; ///< Jobs submitted but not yet finished.

@@ -75,9 +75,8 @@ bindTcpSocket(int port, int &bound_port)
 Server::Server(const ServerOptions &options)
     : options_(options),
       cache_(options.cacheBytes, options.forwardJobs),
-      scheduler_(cache_, Scheduler::Options{options.workers,
-                                            options.maxQueue,
-                                            options.usePlans})
+      scheduler_(cache_,
+                 Scheduler::Options{options.workers, options.maxQueue})
 {
     fatal_if(options_.socketPath.empty(),
              "the server requires a unix socket path");
@@ -261,38 +260,28 @@ Server::statsResponse() const
                    Json::integer(static_cast<int64_t>(cache.built)));
     cache_json.set("open_waits",
                    Json::integer(static_cast<int64_t>(cache.openWaits)));
-    cache_json.set("plan_entries",
-                   Json::integer(static_cast<int64_t>(cache.planEntries)));
-    cache_json.set("plan_bytes",
-                   Json::integer(static_cast<int64_t>(cache.planBytes)));
-    cache_json.set("plan_hits",
-                   Json::integer(static_cast<int64_t>(cache.planHits)));
-    cache_json.set("plan_misses",
-                   Json::integer(static_cast<int64_t>(cache.planMisses)));
-    cache_json.set("plan_builds",
-                   Json::integer(static_cast<int64_t>(cache.planBuilds)));
-    cache_json.set("plan_evictions",
+    cache_json.set("result_entries",
+                   Json::integer(static_cast<int64_t>(cache.resultEntries)));
+    cache_json.set("result_bytes",
+                   Json::integer(static_cast<int64_t>(cache.resultBytes)));
+    cache_json.set("result_hits",
+                   Json::integer(static_cast<int64_t>(cache.resultHits)));
+    cache_json.set("result_misses",
+                   Json::integer(static_cast<int64_t>(cache.resultMisses)));
+    cache_json.set("result_evictions",
                    Json::integer(
-                       static_cast<int64_t>(cache.planEvictions)));
-    cache_json.set("plan_waits",
-                   Json::integer(static_cast<int64_t>(cache.planWaits)));
+                       static_cast<int64_t>(cache.resultEvictions)));
     j.set("cache", std::move(cache_json));
 
-    // Slicer-layer counters clients key decisions on, with stable
-    // zeros even before the first query touches them — the raw
-    // counters section below only lists names that already exist.
+    // Backward passes the result cache saved, with a stable zero even
+    // before the first query — the raw counters section below only
+    // lists names that already exist.
     Json slicer_json = Json::object();
-    for (const char *name :
-         {"slicer.plan_hits", "slicer.plan_misses", "slicer.plan_builds",
-          "slicer.memo_hits", "slicer.epochs_planned",
-          "slicer.epochs_skipped", "slicer.epoch_elided_records",
-          "criteria.epoch_boundary_splits"}) {
-        const char *dot = std::strchr(name, '.');
-        slicer_json.set(dot + 1,
-                        Json::integer(static_cast<int64_t>(
-                            MetricRegistry::global().counter(name)
-                                .value())));
-    }
+    slicer_json.set("memo_hits",
+                    Json::integer(static_cast<int64_t>(
+                        MetricRegistry::global()
+                            .counter("slicer.memo_hits")
+                            .value())));
     j.set("slicer", std::move(slicer_json));
 
     // Trace-layer I/O counters: on-disk footprint touched, columnar

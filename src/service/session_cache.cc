@@ -55,6 +55,28 @@ estimateSessionBytes(const Session &session)
     return bytes;
 }
 
+std::string
+resultKey(uint64_t identity, slicer::CriteriaMode mode, size_t window_end)
+{
+    return format("%016llx|%d|%llu",
+                  static_cast<unsigned long long>(identity),
+                  static_cast<int>(mode),
+                  static_cast<unsigned long long>(window_end));
+}
+
+/** Heap footprint of one cached summary: the key, the summary with its
+ *  strings and share list, and about 64 bytes of hash-node and LRU-node
+ *  bookkeeping. */
+uint64_t
+estimateResultBytes(const std::string &key, const SliceSummary &summary)
+{
+    uint64_t bytes = key.size() + sizeof(SliceSummary) + 64;
+    bytes += summary.mode.size();
+    for (const auto &share : summary.categoryShares)
+        bytes += sizeof(share) + share.first.size();
+    return bytes;
+}
+
 } // namespace
 
 size_t
@@ -75,7 +97,7 @@ SessionCache::SessionCache(uint64_t byte_budget, int forward_jobs)
     counters_.byteBudget = byte_budget;
     // The columnar trace decode cache shares the --cache-bytes budget
     // rather than adding its own: a quarter goes to decoded v2 blocks
-    // (ranged reads, epoch transcodes), the rest stays with sessions.
+    // (ranged and streamed reads), the rest stays with sessions.
     trace::TraceDecodeCache::global().setBudget(byte_budget / 4);
 }
 
@@ -128,11 +150,11 @@ SessionCache::acquire(const std::string &prefix, bool *was_hit)
             return it->second.session;
         }
         // The files changed under the prefix: the entry describes a
-        // recording that no longer exists on disk, and so do any plans
-        // transcoded from it.
+        // recording that no longer exists on disk, and so do any
+        // results computed from it.
         ++counters_.invalidations;
         cacheCounter("service.cache_invalidations").add();
-        dropPlansForIdentityLocked(it->second.session->identity);
+        dropResultsForIdentityLocked(it->second.session->identity);
         removeLocked(prefix);
     }
 
@@ -195,9 +217,9 @@ SessionCache::insertLocked(const std::string &prefix,
     bytes_ += session->approxBytes;
     entries_[prefix] = Entry{std::move(session), lru_.begin()};
 
-    // Over budget, cold plans go before cold sessions: rebuilding a
-    // plan is one transcode, rebuilding a session is a forward pass.
-    evictPlansLocked(std::string());
+    // Over budget, cold results go before cold sessions: recomputing a
+    // result is one backward pass, rebuilding a session a forward pass.
+    evictResultsLocked(std::string());
 
     // Evict from the cold end until the budget holds; the entry just
     // inserted is exempt, since a cache that cannot hold the session
@@ -208,9 +230,7 @@ SessionCache::insertLocked(const std::string &prefix,
         cacheCounter("service.cache_evictions").add();
         removeLocked(victim);
     }
-    MetricRegistry::global().gauge("service.cache_bytes").set(bytes_);
-    MetricRegistry::global().gauge("service.cache_entries")
-        .set(entries_.size());
+    publishGaugesLocked();
 }
 
 void
@@ -222,9 +242,7 @@ SessionCache::removeLocked(const std::string &prefix)
     bytes_ -= it->second.session->approxBytes;
     lru_.erase(it->second.lruIt);
     entries_.erase(it);
-    MetricRegistry::global().gauge("service.cache_bytes").set(bytes_);
-    MetricRegistry::global().gauge("service.cache_entries")
-        .set(entries_.size());
+    publishGaugesLocked();
 }
 
 void
@@ -235,145 +253,94 @@ SessionCache::touchLocked(const std::string &prefix, Entry &entry)
     entry.lruIt = lru_.begin();
 }
 
-std::shared_ptr<const slicer::EpochPlan>
-SessionCache::acquirePlan(const std::shared_ptr<const Session> &session,
-                          size_t window_end, bool *was_hit)
+std::optional<SliceSummary>
+SessionCache::findResult(const Session &session, slicer::CriteriaMode mode,
+                         size_t window_end)
 {
-    if (was_hit)
-        *was_hit = false;
-    const std::string key =
-        format("%016llx|%llu",
-               static_cast<unsigned long long>(session->identity),
-               static_cast<unsigned long long>(window_end));
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = planEntries_.find(key);
-    if (it != planEntries_.end()) {
-        ++counters_.planHits;
-        cacheCounter("service.plan_hits").add();
-        planLru_.erase(it->second.lruIt);
-        planLru_.push_front(key);
-        it->second.lruIt = planLru_.begin();
-        if (was_hit)
-            *was_hit = true;
-        return it->second.plan;
+    const std::string key = resultKey(session.identity, mode, window_end);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = results_.find(key);
+    if (it == results_.end()) {
+        ++counters_.resultMisses;
+        cacheCounter("service.result_misses").add();
+        return std::nullopt;
     }
-    ++counters_.planMisses;
-    cacheCounter("service.plan_misses").add();
-
-    auto inflight = planBuilding_.find(key);
-    if (inflight != planBuilding_.end()) {
-        // Another query over the same window is already transcoding;
-        // join that build instead of running a duplicate.
-        ++counters_.planWaits;
-        cacheCounter("service.plan_waits").add();
-        auto build = inflight->second;
-        buildDone_.wait(lock, [&] { return build->done; });
-        if (build->error)
-            std::rethrow_exception(build->error);
-        if (was_hit)
-            *was_hit = build->plan != nullptr;
-        return build->plan;
-    }
-
-    auto build = std::make_shared<PlanBuilding>();
-    planBuilding_.emplace(key, build);
-    lock.unlock();
-
-    std::shared_ptr<const slicer::EpochPlan> plan;
-    try {
-        ScopedFatalCapture capture;
-        slicer::SlicerOptions options;
-        options.endIndex = window_end;
-        plan = slicer::buildEpochPlan(session->trace->records(),
-                                      session->cfgs, session->deps,
-                                      options);
-    } catch (...) {
-        std::lock_guard<std::mutex> relock(mutex_);
-        planBuilding_.erase(key);
-        build->error = std::current_exception();
-        build->done = true;
-        buildDone_.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    planBuilding_.erase(key);
-    build->plan = plan;
-    build->done = true;
-    buildDone_.notify_all();
-    if (plan) {
-        ++counters_.planBuilds;
-        cacheCounter("service.plan_builds").add();
-        PlanEntry entry;
-        entry.plan = plan;
-        entry.session = session;
-        entry.identity = session->identity;
-        entry.bytes = plan->approxBytes();
-        insertPlanLocked(key, std::move(entry));
-    }
-    return plan;
+    ++counters_.resultHits;
+    cacheCounter("service.result_hits").add();
+    cacheCounter("slicer.memo_hits").add();
+    resultLru_.erase(it->second.lruIt);
+    resultLru_.push_front(key);
+    it->second.lruIt = resultLru_.begin();
+    return it->second.summary;
 }
 
 void
-SessionCache::insertPlanLocked(const std::string &key, PlanEntry entry)
+SessionCache::storeResult(const Session &session, slicer::CriteriaMode mode,
+                          size_t window_end, const SliceSummary &summary)
 {
-    removePlanLocked(key); // racing builds of the same key: last wins
-    planLru_.push_front(key);
-    entry.lruIt = planLru_.begin();
+    const std::string key = resultKey(session.identity, mode, window_end);
+    ResultEntry entry;
+    entry.summary = summary;
+    entry.identity = session.identity;
+    entry.bytes = estimateResultBytes(key, summary);
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    removeResultLocked(key); // racing computations of one key: last wins
+    resultLru_.push_front(key);
+    entry.lruIt = resultLru_.begin();
     bytes_ += entry.bytes;
-    planBytes_ += entry.bytes;
-    planEntries_[key] = std::move(entry);
-    evictPlansLocked(key);
-    publishPlanGaugesLocked();
+    resultBytes_ += entry.bytes;
+    results_[key] = std::move(entry);
+    evictResultsLocked(key);
+    publishGaugesLocked();
 }
 
 void
-SessionCache::removePlanLocked(const std::string &key)
+SessionCache::removeResultLocked(const std::string &key)
 {
-    auto it = planEntries_.find(key);
-    if (it == planEntries_.end())
+    auto it = results_.find(key);
+    if (it == results_.end())
         return;
     bytes_ -= it->second.bytes;
-    planBytes_ -= it->second.bytes;
-    planLru_.erase(it->second.lruIt);
-    planEntries_.erase(it);
-    publishPlanGaugesLocked();
+    resultBytes_ -= it->second.bytes;
+    resultLru_.erase(it->second.lruIt);
+    results_.erase(it);
 }
 
 void
-SessionCache::evictPlansLocked(const std::string &exempt)
+SessionCache::evictResultsLocked(const std::string &exempt)
 {
-    // The plan just inserted (if any) is exempt for the same reason the
-    // newest session is: a cache that cannot hold what it is serving
-    // would thrash forever.
-    while (bytes_ > budget_ && !planLru_.empty() &&
-           planLru_.back() != exempt) {
-        const std::string victim = planLru_.back();
-        ++counters_.planEvictions;
-        cacheCounter("service.plan_evictions").add();
-        removePlanLocked(victim);
+    // The result just inserted (if any) is exempt for the same reason
+    // the newest session is: a cache that cannot hold what it is
+    // serving would thrash forever.
+    while (bytes_ > budget_ && !resultLru_.empty() &&
+           resultLru_.back() != exempt) {
+        const std::string victim = resultLru_.back();
+        ++counters_.resultEvictions;
+        cacheCounter("service.result_evictions").add();
+        removeResultLocked(victim);
     }
 }
 
 void
-SessionCache::dropPlansForIdentityLocked(uint64_t identity)
+SessionCache::dropResultsForIdentityLocked(uint64_t identity)
 {
     std::vector<std::string> victims;
-    for (const auto &kv : planEntries_)
+    for (const auto &kv : results_)
         if (kv.second.identity == identity)
             victims.push_back(kv.first);
     for (const auto &key : victims)
-        removePlanLocked(key);
+        removeResultLocked(key);
 }
 
 void
-SessionCache::publishPlanGaugesLocked()
+SessionCache::publishGaugesLocked()
 {
-    MetricRegistry::global().gauge("service.plan_bytes").set(planBytes_);
-    MetricRegistry::global().gauge("service.plan_entries")
-        .set(planEntries_.size());
-    MetricRegistry::global().gauge("service.cache_bytes").set(bytes_);
+    auto &registry = MetricRegistry::global();
+    registry.gauge("service.cache_bytes").set(bytes_);
+    registry.gauge("service.cache_entries").set(entries_.size());
+    registry.gauge("service.result_bytes").set(resultBytes_);
+    registry.gauge("service.result_entries").set(results_.size());
 }
 
 SessionCache::Stats
@@ -384,8 +351,8 @@ SessionCache::stats() const
     out.entries = entries_.size();
     out.bytes = bytes_;
     out.byteBudget = budget_;
-    out.planEntries = planEntries_.size();
-    out.planBytes = planBytes_;
+    out.resultEntries = results_.size();
+    out.resultBytes = resultBytes_;
     return out;
 }
 
@@ -395,14 +362,11 @@ SessionCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
     lru_.clear();
-    planEntries_.clear();
-    planLru_.clear();
+    results_.clear();
+    resultLru_.clear();
     bytes_ = 0;
-    planBytes_ = 0;
-    MetricRegistry::global().gauge("service.cache_bytes").set(0);
-    MetricRegistry::global().gauge("service.cache_entries").set(0);
-    MetricRegistry::global().gauge("service.plan_bytes").set(0);
-    MetricRegistry::global().gauge("service.plan_entries").set(0);
+    resultBytes_ = 0;
+    publishGaugesLocked();
 }
 
 } // namespace service

@@ -18,6 +18,12 @@
  * holders even after eviction. Concurrent opens of the same recording
  * collapse onto one forward pass — later callers wait for the builder
  * instead of duplicating it.
+ *
+ * Beside the sessions, the cache keeps finished query summaries keyed by
+ * (artifact identity, criteria mode, resolved window end): a slice is a
+ * pure function of those three, so a repeated query is answered without
+ * a backward pass. Summaries share the byte budget and the per-identity
+ * invalidation with sessions.
  */
 
 #ifndef WEBSLICE_SERVICE_SESSION_CACHE_HH
@@ -29,13 +35,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
-#include "slicer/epoch.hh"
+#include "service/protocol.hh"
 #include "trace/artifacts.hh"
 #include "trace/trace_file.hh"
 
@@ -97,25 +104,22 @@ class SessionCache
                                            bool *was_hit = nullptr);
 
     /**
-     * Get the criterion-independent EpochPlan for `session` over the
-     * window [0, window_end), building (and caching) it on first use.
-     * Plans are keyed by (artifact identity, window) under the default
-     * dependence knobs, pin the session they were transcoded from (the
-     * plan's dependence spans point into that session's sealed map),
-     * and share the byte budget with sessions — over budget, cold plans
-     * are evicted before cold sessions, since a plan rebuild is one
-     * transcode while a session rebuild is a full forward pass.
-     * Concurrent first queries collapse onto one build (singleflight).
-     *
-     * Returns null when the trace shape does not support plans (the
-     * caller runs plan-less); null results are not cached.
-     *
-     * @param was_hit set to true when an already-built plan was reused
-     *                (cache hit or joined an in-flight build).
+     * A copy of the cached summary of an earlier query over `session`
+     * with this mode and resolved window end, if any. A hit also counts
+     * on the slicer.memo_hits metric: it stands in for one backward pass.
      */
-    std::shared_ptr<const slicer::EpochPlan>
-    acquirePlan(const std::shared_ptr<const Session> &session,
-                size_t window_end, bool *was_hit = nullptr);
+    std::optional<SliceSummary>
+    findResult(const Session &session, slicer::CriteriaMode mode,
+               size_t window_end);
+
+    /**
+     * Cache `summary` for (session identity, mode, window end). Over
+     * budget, cold summaries are evicted before cold sessions, since
+     * recomputing a summary is one backward pass while rebuilding a
+     * session is a full forward pass.
+     */
+    void storeResult(const Session &session, slicer::CriteriaMode mode,
+                     size_t window_end, const SliceSummary &summary);
 
     /** Cache observability (also published as service.* metrics). */
     struct Stats
@@ -130,14 +134,12 @@ class SessionCache
         uint64_t built = 0;     ///< Forward passes actually run.
         uint64_t openWaits = 0; ///< Joins onto an in-flight build.
 
-        /** Epoch-plan cache (bytes are included in `bytes` too). */
-        uint64_t planEntries = 0;
-        uint64_t planBytes = 0;
-        uint64_t planHits = 0;
-        uint64_t planMisses = 0;
-        uint64_t planBuilds = 0;
-        uint64_t planEvictions = 0;
-        uint64_t planWaits = 0; ///< Joins onto an in-flight plan build.
+        /** Result cache (bytes are included in `bytes` too). */
+        uint64_t resultEntries = 0;
+        uint64_t resultBytes = 0;
+        uint64_t resultHits = 0;
+        uint64_t resultMisses = 0;
+        uint64_t resultEvictions = 0;
     };
 
     Stats stats() const;
@@ -159,19 +161,9 @@ class SessionCache
         std::list<std::string>::iterator lruIt;
     };
 
-    struct PlanBuilding
+    struct ResultEntry
     {
-        bool done = false;
-        std::shared_ptr<const slicer::EpochPlan> plan;
-        std::exception_ptr error;
-    };
-
-    struct PlanEntry
-    {
-        std::shared_ptr<const slicer::EpochPlan> plan;
-        /** Keeps the control-dependence map the plan points into alive
-         *  even after the session entry itself is evicted. */
-        std::shared_ptr<const Session> session;
+        SliceSummary summary;
         std::list<std::string>::iterator lruIt;
         uint64_t identity = 0;
         uint64_t bytes = 0;
@@ -191,18 +183,15 @@ class SessionCache
     /** Move `prefix` to the front of the LRU list. */
     void touchLocked(const std::string &prefix, Entry &entry);
 
-    /** Insert a built plan under the lock; evicts cold plans first. */
-    void insertPlanLocked(const std::string &key, PlanEntry entry);
+    void removeResultLocked(const std::string &key);
 
-    void removePlanLocked(const std::string &key);
+    /** Evict cold results (never `exempt`) while over the byte budget. */
+    void evictResultsLocked(const std::string &exempt);
 
-    /** Evict cold plans (never `exempt`) while over the byte budget. */
-    void evictPlansLocked(const std::string &exempt);
+    /** Drop cached results of a now-invalidated recording. */
+    void dropResultsForIdentityLocked(uint64_t identity);
 
-    /** Drop cached plans built from a now-invalidated recording. */
-    void dropPlansForIdentityLocked(uint64_t identity);
-
-    void publishPlanGaugesLocked();
+    void publishGaugesLocked();
 
     const uint64_t budget_;
     const int forwardJobs_;
@@ -212,11 +201,10 @@ class SessionCache
     std::unordered_map<std::string, Entry> entries_;
     std::list<std::string> lru_; ///< Front = most recently used.
     std::map<uint64_t, std::shared_ptr<Building>> building_;
-    std::unordered_map<std::string, PlanEntry> planEntries_;
-    std::list<std::string> planLru_; ///< Front = most recently used.
-    std::map<std::string, std::shared_ptr<PlanBuilding>> planBuilding_;
+    std::unordered_map<std::string, ResultEntry> results_;
+    std::list<std::string> resultLru_; ///< Front = most recently used.
     uint64_t bytes_ = 0;
-    uint64_t planBytes_ = 0; ///< Plans' share of bytes_.
+    uint64_t resultBytes_ = 0; ///< Results' share of bytes_.
     Stats counters_;
 };
 

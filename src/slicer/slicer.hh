@@ -41,8 +41,6 @@
 namespace webslice {
 namespace slicer {
 
-class EpochPlan;
-
 /** Which slicing criteria seed the live set. */
 enum class CriteriaMode
 {
@@ -80,48 +78,12 @@ struct SlicerOptions
     int jobs = 1;
 
     /**
-     * Worker threads for the backward pass. 1 (the default) runs the
-     * sequential reverse walk; values > 1 (or <= 0 for "all hardware
-     * threads") engage the epoch-parallel driver: the trace is split
-     * into epochs that are transcoded in parallel, stitched newest to
-     * oldest into exact boundary states, and resolved in parallel (see
-     * slicer/epoch.hh). The slice is bit-identical to the sequential
-     * walk for every value; legacyLiveSets forces the sequential path
-     * because it is the measured oracle baseline.
-     */
-    int backwardJobs = 1;
-
-    /**
-     * Benchmark/ablation knob: run the backward pass on the original
-     * std::unordered_map-based live sets instead of the flat-hash ones.
-     * Results are identical; only speed and memory differ. This is the
-     * measured baseline in bench/pipeline_scaling.
-     */
-    bool legacyLiveSets = false;
-
-    /**
      * When > 0, computeSliceFromFile prints a heartbeat to stderr at
      * roughly this interval during the reverse walk: records done,
      * records/sec, and the ETA to the start of the trace. 0 (the
      * default) disables progress output.
      */
     double progressIntervalSeconds = 0.0;
-
-    /**
-     * Optional prepared epoch plan (slicer/epoch.hh) from a previous
-     * query over the same trace window. When set and compatible (same
-     * record count, window, and dependence knobs — the plan itself is
-     * criterion-independent), computeSlice skips the transcode pass
-     * entirely and replays the cached ops; per-epoch gen/kill summaries
-     * additionally let it skip epochs the query's live set provably
-     * passes through unchanged, and a repeat of an identical semantic
-     * criterion (same mode and criteria content — job counts are
-     * execution knobs) is answered from a per-plan result memo without
-     * walking at all. Incompatible or null plans fall back to
-     * the regular paths. Non-owning: the plan (and the control-dependence
-     * map it points into) must outlive the call.
-     */
-    const EpochPlan *reusePlan = nullptr;
 };
 
 /** Output of one backward pass. */
@@ -155,7 +117,7 @@ struct SliceResult
     uint64_t peakLiveMemChunks = 0;
     uint64_t peakPendingBranches = 0;
 
-    /** Live-set hash-table totals (0 under the legacy containers). */
+    /** Live-set hash-table totals. */
     uint64_t flatProbes = 0;
     uint64_t flatResizes = 0;
 
@@ -200,19 +162,17 @@ class BackwardPass
 
     /**
      * Consume an entire in-memory trace in one call — equivalent to
-     * feeding every record in descending order, but the per-record
-     * dispatch is devirtualized so the hot loop inlines. The pass must
-     * be fresh (no feed() calls yet).
+     * feeding every record in descending order, without feed()'s
+     * per-record order checks. The pass must be fresh (no feed() calls
+     * yet).
      */
     void run(std::span<const trace::Record> records);
 
     /** Return the result; the pass is spent. */
     SliceResult finish();
 
-    /** Opaque state; public only so the .cc's policy impls can derive. */
-    struct Impl;
-
   private:
+    struct Impl;
     std::unique_ptr<Impl> impl_;
 };
 

@@ -45,6 +45,8 @@ class FlatMap64
     uint64_t *
     find(uint64_t key)
     {
+        if (size_ != 0)
+            ++probes_;
         return const_cast<uint64_t *>(
             static_cast<const FlatMap64 *>(this)->find(key));
     }
@@ -58,6 +60,7 @@ class FlatMap64
     {
         if (capacity() == 0 || (size_ + 1) * 4 > capacity() * 3)
             grow();
+        ++probes_;
         size_t slot = probe(key);
         if (keys_[slot] != key) {
             keys_[slot] = key;
@@ -73,6 +76,7 @@ class FlatMap64
     {
         if (size_ == 0)
             return false;
+        ++probes_;
         size_t slot = probe(key);
         if (keys_[slot] != key)
             return false;
@@ -147,7 +151,11 @@ class FlatMap64
         return (keys_.capacity() + vals_.capacity()) * sizeof(uint64_t);
     }
 
-    /** Total probe() calls over this map's lifetime (diagnostics). */
+    /**
+     * Total probes by the non-const operations over this map's lifetime
+     * (diagnostics). Const lookups are not counted, so concurrent
+     * readers of a shared map never write to it.
+     */
     uint64_t probeCount() const { return probes_; }
 
     /** Total rehashes (growth + reserve) over this map's lifetime. */
@@ -170,7 +178,6 @@ class FlatMap64
     size_t
     probe(uint64_t key) const
     {
-        ++probes_;
         const size_t mask = capacity() - 1;
         size_t slot = mix(key) & mask;
         while (keys_[slot] != kEmptyKey && keys_[slot] != key)
@@ -209,7 +216,7 @@ class FlatMap64
     std::vector<uint64_t> vals_;
     size_t size_ = 0;
     uint32_t generation_ = 0;
-    mutable uint64_t probes_ = 0;
+    uint64_t probes_ = 0;
     uint64_t resizes_ = 0;
 };
 

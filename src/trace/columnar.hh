@@ -20,14 +20,13 @@
  * The concatenated columns are then block-compressed with the in-repo
  * LZ codec (support/lz.hh). The block index (offsets, sizes, per-block
  * executed/pseudo counts, checkpoints) lives at the end of the file and
- * is located via the header, subsuming the v1 WEBTIDX1 footer: the
- * epoch planner's equal-work split and the ranged readers' seeks both
- * come straight out of it.
+ * is located via the header, subsuming the v1 WEBTIDX1 footer: ranged
+ * reads seek straight to a block through it.
  *
  * Decoded blocks are cached in a process-wide, byte-budgeted LRU
  * (TraceDecodeCache) shared by ranged reads, the streaming readers, and
- * the service (which folds the budget into --cache-bytes), so one
- * epoch-parallel backward pass decodes each block once, not per-epoch.
+ * the service (which folds the budget into --cache-bytes), so repeat
+ * touches of a block within the budget do not decode it again.
  *
  * File layout:
  *   V2Header  { "WEBTRC2\0", recordCount, indexOffset }
@@ -181,8 +180,8 @@ struct V2Index
 /**
  * An open v2 trace file: header + index parsed and validated up front,
  * per-block decode on demand. Block reads use pread, so concurrent
- * decodeBlock calls from the epoch slicer's worker threads are safe on
- * one shared instance.
+ * decodeBlock calls from several threads are safe on one shared
+ * instance.
  */
 class V2TraceFile
 {

@@ -46,32 +46,6 @@ CriteriaSet::add(uint32_t marker, uint64_t addr, uint64_t size)
     ranges.push_back(merged);
 }
 
-size_t
-CriteriaSet::splitBoundary(std::span<const Record> records, size_t proposed)
-{
-    if (proposed >= records.size())
-        return proposed;
-    size_t b = proposed;
-    // Pseudo-record groups are bounded by the syscall argument count, so
-    // a long walk means a malformed trace; cap it rather than crawl to
-    // the front of the trace.
-    constexpr size_t kMaxShift = 4096;
-    while (b > 0 && records[b].isPseudo()) {
-        fatal_if(proposed - b >= kMaxShift,
-                 "runaway syscall pseudo-record group at trace index ",
-                 proposed, "; trace is malformed");
-        --b;
-    }
-    if (b != proposed) {
-        warn("epoch boundary ", proposed, " splits a syscall group; ",
-             "shifted to ", b);
-        MetricRegistry::global()
-            .counter("criteria.epoch_boundary_splits")
-            .add(1);
-    }
-    return b;
-}
-
 const std::vector<MemRange> &
 CriteriaSet::forMarker(uint32_t marker) const
 {
@@ -104,27 +78,6 @@ CriteriaSet::allRanges() const
         out.insert(out.end(), ranges.begin(), ranges.end());
     }
     return out;
-}
-
-uint64_t
-CriteriaSet::fingerprint() const
-{
-    std::vector<uint32_t> markers;
-    markers.reserve(byMarker_.size());
-    for (const auto &kv : byMarker_)
-        markers.push_back(kv.first);
-    std::sort(markers.begin(), markers.end());
-    std::vector<uint64_t> words;
-    words.reserve(1 + 3 * markers.size());
-    words.push_back(markers.size());
-    for (const uint32_t marker : markers) {
-        words.push_back(marker);
-        for (const auto &range : byMarker_.at(marker)) {
-            words.push_back(range.addr);
-            words.push_back(range.size);
-        }
-    }
-    return fnv1a64(words.data(), words.size() * sizeof(uint64_t));
 }
 
 void

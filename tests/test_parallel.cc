@@ -3,8 +3,7 @@
  * Tests for the profiler's parallel plumbing: the thread pool itself,
  * and — more importantly — the guarantee that every parallel path
  * (sharded trace feeding, per-function CFG replay, parallel control
- * dependences, flat-hash vs legacy live sets) produces output
- * bit-identical to the serial baseline. Parallelism that changes the
+ * dependences) produces output bit-identical to the serial baseline. Parallelism that changes the
  * slice is a correctness bug, not a performance feature.
  *
  * The sharded feed normally engages only on multicore machines and
@@ -290,19 +289,16 @@ TEST(ParallelPipeline, ParallelControlDepsMatchSerial)
     }
 }
 
-TEST(ParallelPipeline, SliceIdenticalAcrossJobsAndLiveSetPolicies)
+TEST(ParallelPipeline, SliceIdenticalAcrossJobs)
 {
     Machine machine = makeProgram();
 
-    // Reference: fully serial, legacy (seed) live sets.
+    // Reference: fully serial forward pass, default sequential slicer.
     const auto ref_cfgs = graph::buildCfgs(machine.records(),
                                            machine.symtab(), 1);
     const auto ref_deps = graph::buildControlDeps(ref_cfgs, 1);
-    slicer::SlicerOptions legacy;
-    legacy.legacyLiveSets = true;
     const auto reference = slicer::computeSlice(
-        machine.records(), ref_cfgs, ref_deps, machine.pixelCriteria(),
-        legacy);
+        machine.records(), ref_cfgs, ref_deps, machine.pixelCriteria());
 
     for (const int jobs : {1, 2, 4}) {
         graph::ParallelCfgBuilder::shardOverrideForTesting =

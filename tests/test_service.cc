@@ -2,7 +2,8 @@
  * @file
  * Tests of the slicing service: the JSON value and its defensive
  * parser, the length-prefixed frame transport, the session cache's LRU
- * eviction / digest invalidation / singleflight build, the batch
+ * eviction / digest invalidation / singleflight build and its result
+ * cache, the batch
  * scheduler's bit-identity with the direct slicer plus its dedup,
  * backpressure, and timeout behavior, and an in-process daemon serving
  * a real client over a Unix socket end to end.
@@ -279,7 +280,6 @@ TEST(SliceQuery, RoundTripsThroughJson)
     query.mode = slicer::CriteriaMode::Syscalls;
     query.noWindow = true;
     query.endIndex = 1234;
-    query.backwardJobs = 4;
     query.timeoutMs = 250;
 
     SliceQuery parsed;
@@ -289,7 +289,6 @@ TEST(SliceQuery, RoundTripsThroughJson)
     EXPECT_EQ(parsed.mode, query.mode);
     EXPECT_EQ(parsed.noWindow, query.noWindow);
     EXPECT_EQ(parsed.endIndex, query.endIndex);
-    EXPECT_EQ(parsed.backwardJobs, query.backwardJobs);
     EXPECT_EQ(parsed.timeoutMs, query.timeoutMs);
 }
 
@@ -306,6 +305,21 @@ TEST(SliceQuery, RejectsUnknownMembersAndBadModes)
     Json wrong = Json::object();
     wrong.set("mode", Json::string("voodoo"));
     EXPECT_FALSE(SliceQuery::fromJson(wrong, parsed, error));
+}
+
+TEST(SliceQuery, RejectsTheRemovedBackwardJobsMember)
+{
+    // The backward pass has one engine; a thread count for it is no
+    // longer a query member and must not be silently ignored.
+    Json query = Json::object();
+    query.set("mode", Json::string("pixel"));
+    query.set("backward_jobs", Json::integer(4));
+    SliceQuery parsed;
+    std::string error;
+    EXPECT_FALSE(SliceQuery::fromJson(query, parsed, error));
+    EXPECT_NE(error.find("unknown query member 'backward_jobs'"),
+              std::string::npos)
+        << error;
 }
 
 TEST(SliceQuery, DedupKeyIgnoresTimeoutButNotWork)
@@ -503,77 +517,92 @@ TEST(SessionCache, MissingArtifactsThrowInsteadOfExiting)
     EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-// ---- epoch-plan cache ----------------------------------------------------
+// ---- result cache --------------------------------------------------------
 
-TEST(SessionCache, PlanAcquireHitsPerWindowAndCountsStats)
+/** A finished summary with recognizable contents, for cache tests. */
+SliceSummary
+summaryWithDigest(uint64_t digest)
 {
-    const SavedProgram program("plan_cache", /*salt=*/21);
+    SliceSummary summary;
+    summary.mode = "pixel-buffer";
+    summary.inSliceFnv1a = digest;
+    summary.categoryShares.emplace_back("layout", 12.5);
+    return summary;
+}
+
+TEST(SessionCache, ResultsAreKeyedByModeAndWindow)
+{
+    const SavedProgram program("result_keys", /*salt=*/21);
     SessionCache cache(1ull << 30);
     const auto session = cache.acquire(program.prefix);
     const size_t window = session->windowEnd(false, UINT64_MAX);
+    const auto pixel = slicer::CriteriaMode::PixelBuffer;
 
-    bool hit = true;
-    const auto plan = cache.acquirePlan(session, window, &hit);
-    ASSERT_TRUE(plan);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(plan->windowEnd(), window);
+    EXPECT_FALSE(cache.findResult(*session, pixel, window));
+    cache.storeResult(*session, pixel, window, summaryWithDigest(42));
+    const auto hit = cache.findResult(*session, pixel, window);
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(hit->inSliceFnv1a, 42u);
+    EXPECT_EQ(hit->categoryShares, summaryWithDigest(42).categoryShares);
 
-    const auto again = cache.acquirePlan(session, window, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(plan.get(), again.get());
-
-    // A different window is a different plan.
-    const auto other = cache.acquirePlan(session, window - 1, &hit);
-    ASSERT_TRUE(other);
-    EXPECT_FALSE(hit);
-    EXPECT_NE(other.get(), plan.get());
+    EXPECT_FALSE(
+        cache.findResult(*session, slicer::CriteriaMode::Syscalls, window));
+    EXPECT_FALSE(cache.findResult(*session, pixel, window - 1));
 
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.planBuilds, 2u);
-    EXPECT_EQ(stats.planHits, 1u);
-    EXPECT_EQ(stats.planMisses, 2u);
-    EXPECT_EQ(stats.planEntries, 2u);
-    EXPECT_GT(stats.planBytes, 0u);
-    EXPECT_GE(stats.bytes, stats.planBytes);
+    EXPECT_EQ(stats.resultHits, 1u);
+    EXPECT_EQ(stats.resultMisses, 3u);
+    EXPECT_EQ(stats.resultEntries, 1u);
+    EXPECT_GT(stats.resultBytes, 0u);
+    EXPECT_LT(stats.resultBytes, 1024u); // a summary, not a verdict vector
+    EXPECT_GE(stats.bytes, stats.resultBytes);
 }
 
-TEST(SessionCache, PlansEvictUnderTheSharedByteBudget)
+TEST(SessionCache, TinyBudgetEvictsResultsBeforeSessions)
 {
-    const SavedProgram program("plan_evict", /*salt=*/22);
+    const SavedProgram first("result_evict_a", /*salt=*/22);
+    const SavedProgram second("result_evict_b", /*salt=*/27);
 
-    // Nothing fits in one byte, but the newest plan (and session) are
-    // exempt: each insertion evicts the previous plan, never the
-    // session.
+    // Nothing fits in one byte, but the newest result and session are
+    // exempt: each insertion evicts what is older, results first.
     SessionCache cache(/*byte_budget=*/1);
-    const auto session = cache.acquire(program.prefix);
+    const auto session = cache.acquire(first.prefix);
     const size_t window = session->windowEnd(false, UINT64_MAX);
+    const auto pixel = slicer::CriteriaMode::PixelBuffer;
 
-    cache.acquirePlan(session, window);
-    EXPECT_EQ(cache.stats().planEntries, 1u);
-    cache.acquirePlan(session, window - 1);
+    cache.storeResult(*session, pixel, window, summaryWithDigest(1));
+    cache.storeResult(*session, pixel, window - 1, summaryWithDigest(2));
     auto stats = cache.stats();
-    EXPECT_EQ(stats.planEntries, 1u);
-    EXPECT_EQ(stats.planEvictions, 1u);
-    EXPECT_EQ(stats.entries, 1u); // plans go before sessions
+    EXPECT_EQ(stats.resultEntries, 1u);
+    EXPECT_EQ(stats.resultEvictions, 1u);
+    EXPECT_EQ(stats.entries, 1u); // the session stayed
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_FALSE(cache.findResult(*session, pixel, window));
 
-    // The evicted window must be rebuilt on its next use.
-    bool hit = true;
-    cache.acquirePlan(session, window, &hit);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(cache.stats().planBuilds, 3u);
+    // A second recording's session pushes out the cached result before
+    // the older session.
+    cache.acquire(second.prefix);
+    stats = cache.stats();
+    EXPECT_EQ(stats.resultEntries, 0u);
+    EXPECT_EQ(stats.resultEvictions, 2u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
 }
 
-TEST(SessionCache, InvalidationDropsTheRecordingsPlans)
+TEST(SessionCache, InvalidationDropsTheRecordingsResults)
 {
-    const SavedProgram program("plan_invalidate", /*salt=*/23);
+    const SavedProgram program("result_invalidate", /*salt=*/23);
     SessionCache cache(1ull << 30);
     const auto first = cache.acquire(program.prefix);
     const size_t window = first->windowEnd(false, UINT64_MAX);
-    cache.acquirePlan(first, window);
-    EXPECT_EQ(cache.stats().planEntries, 1u);
+    const auto pixel = slicer::CriteriaMode::PixelBuffer;
+    cache.storeResult(*first, pixel, window, summaryWithDigest(7));
+    cache.storeResult(*first, slicer::CriteriaMode::Syscalls, window,
+                      summaryWithDigest(8));
+    EXPECT_EQ(cache.stats().resultEntries, 2u);
 
     // Rewrite the criteria sidecar: same prefix, different recording —
-    // plans built against the stale artifacts must go with the session.
+    // results computed from the stale artifacts go with the session.
     {
         trace::CriteriaSet fewer;
         fewer.add(/*marker=*/0, program.buffers[0], 4);
@@ -581,13 +610,9 @@ TEST(SessionCache, InvalidationDropsTheRecordingsPlans)
     }
     const auto second = cache.acquire(program.prefix);
     EXPECT_EQ(cache.stats().invalidations, 1u);
-    EXPECT_EQ(cache.stats().planEntries, 0u);
-
-    bool hit = true;
-    const auto rebuilt = cache.acquirePlan(
-        second, second->windowEnd(false, UINT64_MAX), &hit);
-    ASSERT_TRUE(rebuilt);
-    EXPECT_FALSE(hit);
+    EXPECT_EQ(cache.stats().resultEntries, 0u);
+    EXPECT_EQ(cache.stats().resultBytes, 0u);
+    EXPECT_FALSE(cache.findResult(*second, pixel, window));
 }
 
 // ---- scheduler -----------------------------------------------------------
@@ -692,33 +717,85 @@ TEST(Scheduler, LoadFailuresFailTheOneRequestOnly)
     EXPECT_EQ(scheduler.stats().failed, 1u);
 }
 
-TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
+TEST(Scheduler, RepeatedQueryIsServedFromTheResultCache)
 {
-    const SavedProgram program("sched_plans", /*salt=*/24);
+    const SavedProgram program("sched_results", /*salt=*/24);
+    SessionCache cache(1ull << 30);
+    Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16});
+
+    const auto run = [&](const SliceQuery &query) {
+        const auto submitted = scheduler.submit(program.prefix, query);
+        EXPECT_FALSE(submitted.rejected);
+        return submitted.job->wait();
+    };
+
+    SliceQuery query;
+    query.endIndex = 70;
+    const QueryResult cold = run(query);
+    ASSERT_EQ(cold.status, QueryResult::Status::Ok) << cold.error;
+    EXPECT_FALSE(cold.memoHit);
+
+    const QueryResult warm = run(query);
+    ASSERT_EQ(warm.status, QueryResult::Status::Ok) << warm.error;
+    EXPECT_TRUE(warm.memoHit);
+    EXPECT_EQ(warm.inSliceFnv1a, cold.inSliceFnv1a);
+    EXPECT_EQ(warm.windowEnd, cold.windowEnd);
+    EXPECT_EQ(warm.records, cold.records);
+    EXPECT_EQ(warm.instructionsAnalyzed, cold.instructionsAnalyzed);
+    EXPECT_EQ(warm.sliceInstructions, cold.sliceInstructions);
+    EXPECT_EQ(warm.criteriaBytesSeeded, cold.criteriaBytesSeeded);
+    EXPECT_EQ(warm.categoryShares, cold.categoryShares);
+
+    // A different mode or window is a different slice: a miss.
+    SliceQuery other_mode = query;
+    other_mode.mode = slicer::CriteriaMode::Syscalls;
+    EXPECT_FALSE(run(other_mode).memoHit);
+    SliceQuery other_window = query;
+    other_window.endIndex = 69;
+    EXPECT_FALSE(run(other_window).memoHit);
+
+    // Rewriting the recording invalidates its results: the repeat is a
+    // miss that slices the new criteria.
+    {
+        trace::CriteriaSet fewer;
+        fewer.add(/*marker=*/0, program.buffers[0], 4);
+        fewer.save(program.prefix + ".crit");
+    }
+    const QueryResult rewritten = run(query);
+    ASSERT_EQ(rewritten.status, QueryResult::Status::Ok)
+        << rewritten.error;
+    EXPECT_FALSE(rewritten.memoHit);
+    scheduler.drain();
+
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.resultHits, 1u);
+    EXPECT_EQ(stats.resultMisses, 4u);
+    EXPECT_EQ(stats.invalidations, 1u);
+}
+
+TEST(Scheduler, ManyCriteriaOverOneSessionShareOneForwardPass)
+{
+    const SavedProgram program("sched_criteria", /*salt=*/25);
     SessionCache cache(1ull << 30);
     Scheduler scheduler(cache, {/*workers=*/2, /*maxQueue=*/32});
 
-    // The oracle answers for both criteria modes at the default window.
-    const auto direct_pixel = program.directSlice();
-    slicer::SlicerOptions syscall_options;
-    syscall_options.mode = slicer::CriteriaMode::Syscalls;
-    const auto direct_syscalls = program.directSlice(syscall_options);
-
     // Eight criterion queries against one recording: both modes, four
-    // backward-job counts. Sequential waits make the first query the
-    // one (and only) plan build.
+    // distinct window ends, each checked against the direct slicer.
     for (int i = 0; i < 8; ++i) {
         SliceQuery query;
         query.mode = i % 2 ? slicer::CriteriaMode::Syscalls
                            : slicer::CriteriaMode::PixelBuffer;
-        query.backwardJobs = 1 + i / 2;
+        query.endIndex = 80 - static_cast<uint64_t>(i / 2);
         const auto submitted = scheduler.submit(program.prefix, query);
         ASSERT_FALSE(submitted.rejected);
         const QueryResult &result = submitted.job->wait();
         ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
-        EXPECT_EQ(result.planHit, i != 0) << "query " << i;
+        EXPECT_FALSE(result.memoHit) << "query " << i;
 
-        const auto &direct = i % 2 ? direct_syscalls : direct_pixel;
+        slicer::SlicerOptions options;
+        options.mode = query.mode;
+        options.endIndex = query.endIndex;
+        const auto direct = program.directSlice(options);
         EXPECT_EQ(result.inSliceFnv1a,
                   fnv1a64(direct.inSlice.data(), direct.inSlice.size()))
             << "query " << i;
@@ -726,18 +803,18 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
     scheduler.drain();
 
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.planBuilds, 1u);
-    EXPECT_EQ(stats.planHits, 7u);
+    EXPECT_EQ(stats.resultMisses, 8u);
+    EXPECT_EQ(stats.resultEntries, 8u);
     EXPECT_EQ(stats.built, 1u); // one forward pass for the whole batch
 }
 
-TEST(Scheduler, PlanEvictionMidBatchKeepsResultsCorrect)
+TEST(Scheduler, ResultEvictionMidBatchKeepsResultsCorrect)
 {
-    const SavedProgram program("sched_evict", /*salt=*/25);
+    const SavedProgram program("sched_evict", /*salt=*/26);
 
-    // A one-byte budget holds only the newest plan: alternating between
-    // two windows evicts the other window's plan every time, so every
-    // query after the first pair rebuilds — and must still be right.
+    // A one-byte budget holds only the newest result: alternating
+    // between two windows evicts the other window's result every time,
+    // so every query slices again — and must still be right.
     SessionCache cache(/*byte_budget=*/1);
     Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16});
 
@@ -753,13 +830,13 @@ TEST(Scheduler, PlanEvictionMidBatchKeepsResultsCorrect)
         for (int w = 0; w < 2; ++w) {
             SliceQuery query;
             query.endIndex = windows[w];
-            query.backwardJobs = 1 + round;
             const auto submitted =
                 scheduler.submit(program.prefix, query);
             ASSERT_FALSE(submitted.rejected);
             const QueryResult &result = submitted.job->wait();
             ASSERT_EQ(result.status, QueryResult::Status::Ok)
                 << result.error;
+            EXPECT_FALSE(result.memoHit);
             EXPECT_EQ(result.inSliceFnv1a,
                       fnv1a64(oracle[w].inSlice.data(),
                               oracle[w].inSlice.size()))
@@ -769,31 +846,10 @@ TEST(Scheduler, PlanEvictionMidBatchKeepsResultsCorrect)
     scheduler.drain();
 
     const auto stats = cache.stats();
-    EXPECT_GE(stats.planEvictions, 4u);
-    EXPECT_EQ(stats.planBuilds, 6u); // every round rebuilds both plans
-    EXPECT_LE(stats.planEntries, 1u);
-}
-
-TEST(Scheduler, PlanlessModeRunsEveryQueryCold)
-{
-    const SavedProgram program("sched_planless", /*salt=*/26);
-    SessionCache cache(1ull << 30);
-    Scheduler scheduler(
-        cache, {/*workers=*/1, /*maxQueue=*/16, /*usePlans=*/false});
-
-    const auto direct = program.directSlice();
-    for (int i = 0; i < 2; ++i) {
-        SliceQuery query;
-        query.backwardJobs = 1 + i;
-        const auto submitted = scheduler.submit(program.prefix, query);
-        const QueryResult &result = submitted.job->wait();
-        ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
-        EXPECT_FALSE(result.planHit);
-        EXPECT_EQ(result.inSliceFnv1a,
-                  fnv1a64(direct.inSlice.data(), direct.inSlice.size()));
-    }
-    scheduler.drain();
-    EXPECT_EQ(cache.stats().planBuilds, 0u);
+    EXPECT_EQ(stats.resultEvictions, 5u);
+    EXPECT_EQ(stats.resultHits, 0u);
+    EXPECT_EQ(stats.resultEntries, 1u);
+    EXPECT_EQ(stats.entries, 1u);
 }
 
 // ---- end to end over a real socket ---------------------------------------
@@ -824,7 +880,7 @@ TEST(Server, ServesABatchOverAUnixSocket)
     std::vector<SliceQuery> queries(4);
     queries[1].mode = slicer::CriteriaMode::Syscalls;
     queries[2].endIndex = 40;
-    queries[3].backwardJobs = 2;
+    queries[3].endIndex = 30;
 
     ServiceClient::BatchOutcome outcome;
     ASSERT_TRUE(client.batch(program.prefix, queries, outcome, error))
@@ -843,16 +899,16 @@ TEST(Server, ServesABatchOverAUnixSocket)
     ASSERT_TRUE(client.batch(program.prefix, queries, warm, error))
         << error;
     EXPECT_EQ(warm.ok, 4u);
-    for (const auto &result : warm.results) {
-        EXPECT_TRUE(result.cacheHit);
-        EXPECT_TRUE(result.planHit); // both windows' plans are cached
+    for (size_t i = 0; i < warm.results.size(); ++i) {
+        EXPECT_TRUE(warm.results[i].cacheHit);
+        EXPECT_TRUE(warm.results[i].memoHit); // every result is cached
+        EXPECT_EQ(warm.results[i].inSliceFnv1a,
+                  outcome.results[i].inSliceFnv1a);
     }
-    EXPECT_EQ(warm.results[0].inSliceFnv1a,
-              outcome.results[0].inSliceFnv1a);
     EXPECT_EQ(server.cache().stats().built, 1u);
-    // Two windows appeared in the batch (default and endIndex=40), so
-    // exactly two plans were transcoded across both batches.
-    EXPECT_EQ(server.cache().stats().planBuilds, 2u);
+    // Four distinct (mode, window) queries: four slices, four hits.
+    EXPECT_EQ(server.cache().stats().resultMisses, 4u);
+    EXPECT_EQ(server.cache().stats().resultHits, 4u);
 
     // stats frames carry the cache, slicer, and scheduler sections.
     Json stats_request = Json::object();
@@ -861,16 +917,15 @@ TEST(Server, ServesABatchOverAUnixSocket)
     ASSERT_TRUE(client.call(stats_request, stats, error)) << error;
     ASSERT_NE(stats.find("cache"), nullptr);
     EXPECT_EQ(stats.find("cache")->find("built")->asInt(), 1);
-    EXPECT_EQ(stats.find("cache")->find("plan_builds")->asInt(), 2);
-    EXPECT_GE(stats.find("cache")->find("plan_hits")->asInt(), 4);
+    EXPECT_EQ(stats.find("cache")->find("result_entries")->asInt(), 4);
+    EXPECT_EQ(stats.find("cache")->find("result_hits")->asInt(), 4);
     ASSERT_NE(stats.find("scheduler"), nullptr);
     // Slicer counters are global across the process, so only presence
     // and monotonicity are asserted here.
     const Json *slicer_stats = stats.find("slicer");
     ASSERT_NE(slicer_stats, nullptr);
-    ASSERT_NE(slicer_stats->find("epoch_boundary_splits"), nullptr);
-    EXPECT_GE(slicer_stats->find("plan_hits")->asInt(), 4);
-    EXPECT_GE(slicer_stats->find("memo_hits")->asInt(), 0);
+    ASSERT_NE(slicer_stats->find("memo_hits"), nullptr);
+    EXPECT_GE(slicer_stats->find("memo_hits")->asInt(), 4);
 
     // A malformed request answers with an error frame, not a dead
     // daemon; the connection closes, so reconnect for shutdown.

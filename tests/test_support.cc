@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "support/rng.hh"
@@ -87,23 +88,10 @@ TEST(Strings, HumanMillionsAndCommas)
 }
 
 // ---- sparse byte set -------------------------------------------------------
-//
-// The set is templated over its chunk index (flat-hash default vs the
-// legacy std::unordered_map baseline) and over the one-entry last-chunk
-// cache; every behavioral test runs against both configurations so the
-// optimized interior can never drift from the baseline semantics.
 
-template <typename SetType>
-class SparseByteSetTyped : public ::testing::Test
+TEST(SparseByteSet, InsertContains)
 {
-};
-
-using ByteSetVariants = ::testing::Types<SparseByteSet, LegacySparseByteSet>;
-TYPED_TEST_SUITE(SparseByteSetTyped, ByteSetVariants);
-
-TYPED_TEST(SparseByteSetTyped, InsertContains)
-{
-    TypeParam set;
+    SparseByteSet set;
     EXPECT_TRUE(set.empty());
     set.insert(100, 4);
     EXPECT_EQ(set.size(), 4u);
@@ -113,17 +101,17 @@ TYPED_TEST(SparseByteSetTyped, InsertContains)
     EXPECT_FALSE(set.contains(99));
 }
 
-TYPED_TEST(SparseByteSetTyped, InsertIsIdempotent)
+TEST(SparseByteSet, InsertIsIdempotent)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(10, 8);
     set.insert(12, 4);
     EXPECT_EQ(set.size(), 8u);
 }
 
-TYPED_TEST(SparseByteSetTyped, EraseRange)
+TEST(SparseByteSet, EraseRange)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(0, 128);
     set.erase(32, 64);
     EXPECT_EQ(set.size(), 64u);
@@ -133,18 +121,18 @@ TYPED_TEST(SparseByteSetTyped, EraseRange)
     EXPECT_TRUE(set.contains(96));
 }
 
-TYPED_TEST(SparseByteSetTyped, IntersectsAcrossChunkBoundary)
+TEST(SparseByteSet, IntersectsAcrossChunkBoundary)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(63, 2); // bytes 63 and 64 straddle a chunk boundary
     EXPECT_TRUE(set.intersects(64, 1));
     EXPECT_TRUE(set.intersects(0, 64));
     EXPECT_FALSE(set.intersects(65, 100));
 }
 
-TYPED_TEST(SparseByteSetTyped, TestAndErase)
+TEST(SparseByteSet, TestAndErase)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(200, 8);
     EXPECT_TRUE(set.testAndErase(204, 8));
     EXPECT_EQ(set.size(), 4u);
@@ -152,9 +140,9 @@ TYPED_TEST(SparseByteSetTyped, TestAndErase)
     EXPECT_TRUE(set.contains(203));
 }
 
-TYPED_TEST(SparseByteSetTyped, ChunksFreedOnErase)
+TEST(SparseByteSet, ChunksFreedOnErase)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(0, 64);
     EXPECT_EQ(set.chunkCount(), 1u);
     set.erase(0, 64);
@@ -162,9 +150,9 @@ TYPED_TEST(SparseByteSetTyped, ChunksFreedOnErase)
     EXPECT_TRUE(set.empty());
 }
 
-TYPED_TEST(SparseByteSetTyped, LargeRangeSpanningManyChunks)
+TEST(SparseByteSet, LargeRangeSpanningManyChunks)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(1000, 1000);
     EXPECT_EQ(set.size(), 1000u);
     EXPECT_TRUE(set.intersects(1999, 1));
@@ -173,20 +161,20 @@ TYPED_TEST(SparseByteSetTyped, LargeRangeSpanningManyChunks)
     EXPECT_TRUE(set.empty());
 }
 
-TYPED_TEST(SparseByteSetTyped, HighAddresses)
+TEST(SparseByteSet, HighAddresses)
 {
-    TypeParam set;
+    SparseByteSet set;
     const uint64_t high = 0xFFFFFFFF00000000ull;
     set.insert(high, 16);
     EXPECT_TRUE(set.contains(high + 15));
     EXPECT_FALSE(set.contains(high + 16));
 }
 
-TYPED_TEST(SparseByteSetTyped, AlignedFullChunkUsesFullMask)
+TEST(SparseByteSet, AlignedFullChunkUsesFullMask)
 {
     // A 64-byte aligned span covers a whole chunk in one (base, ~0)
     // piece — the mask-building shortcut must still mean "all 64 bytes".
-    TypeParam set;
+    SparseByteSet set;
     set.insert(128, 64);
     EXPECT_EQ(set.size(), 64u);
     EXPECT_EQ(set.chunkCount(), 1u);
@@ -198,12 +186,12 @@ TYPED_TEST(SparseByteSetTyped, AlignedFullChunkUsesFullMask)
     EXPECT_TRUE(set.empty());
 }
 
-TYPED_TEST(SparseByteSetTyped, CacheSurvivesEraseOfOtherChunk)
+TEST(SparseByteSet, CacheSurvivesEraseOfOtherChunk)
 {
     // Regression guard for the one-entry chunk cache: erasing one chunk
     // can move *other* entries in an open-addressing interior, so a
     // cached pointer must not be trusted across it.
-    TypeParam set;
+    SparseByteSet set;
     set.insert(0, 8);      // chunk 0 (cached)
     set.insert(640, 8);    // chunk 10
     set.insert(1280, 8);   // chunk 20
@@ -215,11 +203,11 @@ TYPED_TEST(SparseByteSetTyped, CacheSurvivesEraseOfOtherChunk)
     EXPECT_EQ(set.size(), 8u + 8u + 4u);
 }
 
-TYPED_TEST(SparseByteSetTyped, ManyChunksSurviveRehash)
+TEST(SparseByteSet, ManyChunksSurviveRehash)
 {
     // Enough distinct chunks to force several interior growths; every
     // byte must remain reachable and the population exact.
-    TypeParam set;
+    SparseByteSet set;
     constexpr uint64_t kChunks = 3000;
     for (uint64_t c = 0; c < kChunks; ++c)
         set.insert(c * 64 + (c % 32), 2);
@@ -235,9 +223,9 @@ TYPED_TEST(SparseByteSetTyped, ManyChunksSurviveRehash)
     EXPECT_EQ(set.chunkCount(), kChunks / 2);
 }
 
-TYPED_TEST(SparseByteSetTyped, ClearResetsEverything)
+TEST(SparseByteSet, ClearResetsEverything)
 {
-    TypeParam set;
+    SparseByteSet set;
     set.insert(10, 100);
     set.clear();
     EXPECT_TRUE(set.empty());
@@ -247,37 +235,78 @@ TYPED_TEST(SparseByteSetTyped, ClearResetsEverything)
     EXPECT_EQ(set.size(), 4u);
 }
 
-TEST(SparseByteSet, FlatAndLegacyAgreeOnRandomWorkload)
+/** Byte-addressed reference model of SparseByteSet: one set entry per
+ *  present byte, no chunking, no cache. */
+struct ByteModel
 {
-    // Drive both interiors with one pseudo-random slicer-like workload
-    // (inserts, kills, probes over a few hot pages) and require exact
-    // agreement — the benchmark's "bit-identical slice" claim rests on
-    // this equivalence.
-    SparseByteSet flat;
-    LegacySparseByteSet legacy;
+    std::set<uint64_t> bytes;
+
+    void
+    insert(uint64_t addr, uint64_t size)
+    {
+        for (uint64_t b = addr; b < addr + size; ++b)
+            bytes.insert(b);
+    }
+
+    /** Erase the range; returns whether any byte was present. */
+    bool
+    erase(uint64_t addr, uint64_t size)
+    {
+        bool hit = false;
+        for (uint64_t b = addr; b < addr + size; ++b)
+            hit |= bytes.erase(b) != 0;
+        return hit;
+    }
+
+    bool
+    intersects(uint64_t addr, uint64_t size) const
+    {
+        const auto it = bytes.lower_bound(addr);
+        return it != bytes.end() && *it < addr + size;
+    }
+
+    /** Distinct 64-byte chunks (addr >> 6) holding a present byte. */
+    size_t
+    chunkCount() const
+    {
+        size_t chunks = 0;
+        for (auto it = bytes.begin(); it != bytes.end();
+             it = bytes.lower_bound(((*it >> 6) + 1) << 6))
+            ++chunks;
+        return chunks;
+    }
+};
+
+TEST(SparseByteSet, MatchesByteModelOnRandomWorkload)
+{
+    // Drive the set and an independent byte-per-entry model with one
+    // pseudo-random slicer-like workload (inserts, kills, probes over a
+    // few hot pages) and require exact agreement after every op.
+    SparseByteSet set;
+    ByteModel model;
     Rng rng(2024);
     for (int op = 0; op < 30000; ++op) {
         const uint64_t addr = rng.below(4096);
         const uint64_t size = 1 + rng.below(16);
         switch (rng.below(4)) {
           case 0:
-            flat.insert(addr, size);
-            legacy.insert(addr, size);
+            set.insert(addr, size);
+            model.insert(addr, size);
             break;
           case 1:
-            flat.erase(addr, size);
-            legacy.erase(addr, size);
+            set.erase(addr, size);
+            model.erase(addr, size);
             break;
           case 2:
-            ASSERT_EQ(flat.testAndErase(addr, size),
-                      legacy.testAndErase(addr, size));
+            ASSERT_EQ(set.testAndErase(addr, size),
+                      model.erase(addr, size));
             break;
           default:
-            ASSERT_EQ(flat.intersects(addr, size),
-                      legacy.intersects(addr, size));
+            ASSERT_EQ(set.intersects(addr, size),
+                      model.intersects(addr, size));
         }
-        ASSERT_EQ(flat.size(), legacy.size());
-        ASSERT_EQ(flat.chunkCount(), legacy.chunkCount());
+        ASSERT_EQ(set.size(), model.bytes.size());
+        ASSERT_EQ(set.chunkCount(), model.chunkCount());
     }
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests of the columnar compressed trace format (v2) and its companions:
- * the LZ block codec, every reader's transparent v2 decode, the
- * process-wide decode cache, the checkpointed value-log sidecar, and —
- * the contract the whole format hangs on — bit-identical slices from v1
- * and v2 files of the same recording.
+ * the LZ block codec, every reader's transparent v2 decode, the v1
+ * block-index footer, the process-wide decode cache, the checkpointed
+ * value-log sidecar, and — the contract the whole format hangs on —
+ * bit-identical slices from v1 and v2 files of the same recording.
  */
 
 #include <gtest/gtest.h>
@@ -302,8 +302,8 @@ TEST_F(BigV2Trace, RangedLoadsMatchFullDecode)
 
 TEST_F(BigV2Trace, BlockIndexProjectsToV1Shape)
 {
-    // The structural v2 index must serve the epoch planner through the
-    // same TraceBlockIndex the v1 footer fills.
+    // The structural v2 index must project onto the same
+    // TraceBlockIndex the v1 footer fills.
     const TraceBlockIndex index = loadTraceBlockIndex(path);
     ASSERT_TRUE(index.present());
     EXPECT_EQ(index.blockRecords, kTraceIndexBlockRecords);
@@ -369,32 +369,98 @@ TEST_F(BigV2Trace, ReverseReaderMatchesWithAndWithoutPrefetch)
     }
 }
 
-TEST_F(BigV2Trace, RangedReverseReaderMatches)
+// ---- v1 block-index footer ------------------------------------------------
+
+/** A v1 trace with a block-index footer, saved from a machine run. */
+struct BigSavedProgram
 {
-    struct { uint64_t first, last; } ranges[] = {
-        {0, records.size()},                       // full file
-        {kTraceIndexBlockRecords - 7,
-         kTraceIndexBlockRecords + 9},             // straddles the boundary
-        {100, 200},                                // interior of block 0
-        {records.size() - 50, records.size()},     // tail
-        {42, 42},                                  // empty
-    };
-    for (const auto &r : ranges) {
-        for (const bool prefetch : {false, true}) {
-            ReverseTraceReader reader(path, r.first, r.last, 1 << 16,
-                                      prefetch);
-            EXPECT_EQ(reader.remaining(), r.last - r.first);
-            Record rec;
-            uint64_t i = r.last;
-            while (reader.next(rec)) {
-                ASSERT_GT(i, r.first);
-                --i;
-                expectSameRecord(records[i], rec,
-                                 static_cast<size_t>(i));
+    Machine machine;
+    std::string path;
+
+    BigSavedProgram()
+    {
+        const auto tid = machine.addThread("main");
+        const uint64_t heap = machine.alloc(64, "heap");
+        const uint64_t pixels = machine.alloc(16, "tile");
+        machine.post(tid, [&](Ctx &ctx) {
+            // Enough records to span several index blocks.
+            const size_t rounds = (1 << 16) + 4000;
+            for (size_t i = 0; i < rounds; ++i) {
+                Value v = ctx.imm(i & 0xFF);
+                ctx.store(heap + 8 * (i % 8), 4, v);
             }
-            EXPECT_EQ(i, r.first);
-        }
+            Value color = ctx.load(heap, 4);
+            ctx.store(pixels, 4, color);
+            const MemRange ranges[] = {{pixels, 16}};
+            ctx.marker(ranges);
+        });
+        machine.run();
+
+        path = std::string(::testing::TempDir()) + "v1_indexed_big.trc";
+        TraceWriter writer(path, /*block_index=*/true);
+        for (const auto &rec : machine.records())
+            writer.append(rec);
+        writer.close();
     }
+
+    ~BigSavedProgram() { std::remove(path.c_str()); }
+};
+
+TEST(TraceBlockIndex, RoundTripsThroughWriterAndLoader)
+{
+    const BigSavedProgram program;
+    const auto &records = program.machine.records();
+
+    const auto index = loadTraceBlockIndex(program.path);
+    ASSERT_TRUE(index.present());
+    EXPECT_EQ(index.blockRecords, kTraceIndexBlockRecords);
+    const size_t expect_blocks =
+        (records.size() + kTraceIndexBlockRecords - 1) /
+        kTraceIndexBlockRecords;
+    ASSERT_EQ(index.blockCount(), expect_blocks);
+    ASSERT_GE(index.blockCount(), 2u);
+
+    uint64_t instructions = 0;
+    uint64_t pseudos = 0;
+    for (size_t b = 0; b < index.blockCount(); ++b) {
+        instructions += index.instructions[b];
+        pseudos += index.pseudoRecords[b];
+    }
+    uint64_t expect_instructions = 0;
+    for (const auto &rec : records)
+        expect_instructions += rec.isPseudo() ? 0 : 1;
+    EXPECT_EQ(instructions, expect_instructions);
+    EXPECT_EQ(pseudos, records.size() - expect_instructions);
+
+    // The mmap view exposes the same index.
+    MappedTrace mapped(program.path);
+    ASSERT_TRUE(mapped.blockIndex().present());
+    EXPECT_EQ(mapped.blockIndex().instructions, index.instructions);
+    EXPECT_EQ(mapped.count(), records.size());
+    EXPECT_EQ(mapped[0].pc, records[0].pc);
+}
+
+TEST(TraceBlockIndex, LoadTraceRangeReturnsExactWindow)
+{
+    const BigSavedProgram program;
+    const auto &records = program.machine.records();
+
+    const auto window = loadTraceRange(program.path, 1000, 50);
+    ASSERT_EQ(window.size(), 50u);
+    for (size_t i = 0; i < window.size(); ++i) {
+        EXPECT_EQ(window[i].pc, records[1000 + i].pc);
+        EXPECT_EQ(window[i].addr, records[1000 + i].addr);
+    }
+    EXPECT_TRUE(loadTraceRange(program.path, 7, 0).empty());
+}
+
+TEST(TraceBlockIndexDeath, RangeBoundsAreChecked)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const BigSavedProgram program;
+    const auto count = program.machine.records().size();
+    EXPECT_DEATH(loadTraceRange(program.path, count, 1),
+                 "out of bounds");
 }
 
 // ---- decode cache ----------------------------------------------------------
@@ -646,22 +712,17 @@ TEST(TraceV2Fuzz, SlicesBitIdenticalAcrossFormats)
                 computeSlice(machine.records(), cfgs, deps,
                              machine.pixelCriteria(), options);
             for (const std::string &path : {v1, v2}) {
-                for (const int jobs : {1, 3}) {
-                    options.backwardJobs = jobs;
-                    const auto from_file = computeSliceFromFile(
-                        path, cfgs, deps, machine.pixelCriteria(),
-                        options);
-                    EXPECT_EQ(oracle.inSlice, from_file.inSlice)
-                        << "seed " << seed << " mode "
-                        << static_cast<int>(mode) << " jobs " << jobs
-                        << " file " << path;
-                    EXPECT_EQ(oracle.sliceInstructions,
-                              from_file.sliceInstructions);
-                    EXPECT_EQ(oracle.instructionsAnalyzed,
-                              from_file.instructionsAnalyzed);
-                    EXPECT_EQ(oracle.criteriaBytesSeeded,
-                              from_file.criteriaBytesSeeded);
-                }
+                const auto from_file = computeSliceFromFile(
+                    path, cfgs, deps, machine.pixelCriteria(), options);
+                EXPECT_EQ(oracle.inSlice, from_file.inSlice)
+                    << "seed " << seed << " mode "
+                    << static_cast<int>(mode) << " file " << path;
+                EXPECT_EQ(oracle.sliceInstructions,
+                          from_file.sliceInstructions);
+                EXPECT_EQ(oracle.instructionsAnalyzed,
+                          from_file.instructionsAnalyzed);
+                EXPECT_EQ(oracle.criteriaBytesSeeded,
+                          from_file.criteriaBytesSeeded);
             }
         }
         std::remove(v1.c_str());

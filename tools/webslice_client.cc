@@ -25,15 +25,14 @@
  *   pixel                       pixel-buffer criteria, metadata window
  *   syscalls:no-window          syscall criteria, whole trace
  *   pixel:end=100000            window capped at record 100000
- *   pixel:backward-jobs=4       epoch-parallel backward pass, 4 threads
  *   pixel:sleep=250             hold the query 250 ms at run start (a
  *                               failover-testing hook; maps to the
  *                               protocol's debug_sleep_ms)
  *
  * `--query @criteria.txt` expands a spec file: one SPEC per line, blank
  * lines and `#` comments ignored. This is the convenient way to run
- * many criteria against one session (the daemon transcodes the epochs
- * once and answers every further criterion from the cached plan).
+ * many criteria against one session (the daemon runs the forward pass
+ * once, and answers a repeated criterion from its result cache).
  *
  * Result frames are printed as JSON lines as they stream in, so a batch
  * behaves well in a pipeline; a fleet batch closes the stream with one
@@ -81,8 +80,7 @@ constexpr char kUsage[] =
     "                        [--metrics-json FILE]\n"
     "                        run slicing queries against one recording\n"
     "\n"
-    "query SPEC grammar: (pixel|syscalls)[:no-window][:end=N]\n"
-    "                    [:backward-jobs=N][:sleep=MS]\n"
+    "query SPEC grammar: (pixel|syscalls)[:no-window][:end=N][:sleep=MS]\n"
     "                    or @FILE with one SPEC per line ('#' comments\n"
     "                    and blank lines ignored)\n"
     "\n"
@@ -122,16 +120,6 @@ parseQuerySpec(const std::string &spec, service::SliceQuery &query,
             query.endIndex = std::strtoull(text, &end, 10);
             if (end == text || *end != '\0') {
                 error = format("bad end= value in '%s'", spec.c_str());
-                return false;
-            }
-        } else if (part.rfind("backward-jobs=", 0) == 0) {
-            char *end = nullptr;
-            const char *text = part.c_str() + 14;
-            query.backwardJobs =
-                static_cast<int>(std::strtoul(text, &end, 10));
-            if (end == text || *end != '\0') {
-                error = format("bad backward-jobs= value in '%s'",
-                               spec.c_str());
                 return false;
             }
         } else if (part.rfind("sleep=", 0) == 0) {

@@ -138,7 +138,7 @@ main(int argc, char **argv)
     // ---- trace ---------------------------------------------------------
     const std::vector<trace::Record> records = trace::loadTrace(in_trace);
     {
-        // Block index on for v1 so the epoch planner keeps its seeks;
+        // Block index on for v1 so ranged readers keep their seeks;
         // the v2 index is structural. Atomic: a crashed conversion
         // leaves no partial .trc under the output prefix.
         trace::TraceWriter writer(out_trace, /*block_index=*/true, to,

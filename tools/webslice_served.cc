@@ -9,7 +9,8 @@
  * Holds parsed sessions (mmap'd trace, CFGs, postdominators, control
  * dependences) in an LRU cache keyed by the recording's artifact
  * digests, so repeated slicing queries against the same recording skip
- * the entire forward pass. Clients (webslice-client, or anything that
+ * the entire forward pass; a query repeating an earlier (mode, window)
+ * is answered from the cached result without a backward pass. Clients (webslice-client, or anything that
  * speaks webslice-serve-v1: 4-byte little-endian length prefix, one
  * JSON value per frame) submit batches of slicing criteria; the batch's
  * queries run concurrently on a bounded scheduler with request dedup,
@@ -41,7 +42,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s --socket PATH [--tcp PORT] [--workers N] [--queue N]\n"
-    "       [--cache-bytes N] [--forward-jobs N] [--no-plan-cache]\n"
+    "       [--cache-bytes N] [--forward-jobs N]\n"
     "       [--preload PREFIX] [--metrics-json FILE]\n"
     "       [--shard-id NAME] [--shard-epoch N]\n"
     "\n"
@@ -51,12 +52,10 @@ constexpr char kUsage[] =
     "  --workers N           concurrent query workers (default 2)\n"
     "  --queue N             in-flight request ceiling before submissions\n"
     "                        are rejected (default 64)\n"
-    "  --cache-bytes N       session-cache byte budget (default 2 GiB)\n"
+    "  --cache-bytes N       byte budget shared by cached sessions and\n"
+    "                        query results (default 2 GiB)\n"
     "  --forward-jobs N      threads for a session's forward pass;\n"
     "                        0 = all cores (default)\n"
-    "  --no-plan-cache       do not cache epoch transcodes across\n"
-    "                        criteria (every query pays the full\n"
-    "                        backward pass; benchmarking baseline)\n"
     "  --preload PREFIX      build this recording's session before\n"
     "                        accepting connections (repeatable)\n"
     "  --metrics-json FILE   write the run report at exit ('-' = stdout)\n"
@@ -123,8 +122,6 @@ main(int argc, char **argv)
             options.forwardJobs = static_cast<int>(
                 parseCount("--forward-jobs",
                            need_value("--forward-jobs"), 1u << 16));
-        } else if (!std::strcmp(argv[a], "--no-plan-cache")) {
-            options.usePlans = false;
         } else if (!std::strcmp(argv[a], "--preload")) {
             preload.push_back(need_value("--preload"));
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
