@@ -25,8 +25,8 @@ profileSite(const workloads::SiteSpec &spec,
     out.run = scenario::runSite(spec);
     double t1 = nowSeconds();
     out.cfgs = graph::buildCfgs(out.run.records(),
-                                out.run.machine->symtab(), options.jobs);
-    out.deps = graph::buildControlDeps(out.cfgs, options.jobs);
+                                out.run.machine->symtab());
+    out.deps = graph::buildControlDeps(out.cfgs);
     double t2 = nowSeconds();
     slicer::SlicerOptions effective = options;
     if (apply_window)

@@ -17,7 +17,6 @@
 #include "slicer/slicer.hh"
 #include "support/flat_map.hh"
 #include "support/sparse_byte_set.hh"
-#include "support/thread_pool.hh"
 
 using namespace webslice;
 
@@ -73,20 +72,15 @@ void
 BM_CfgBuild(benchmark::State &state)
 {
     SyntheticTrace trace(static_cast<int>(state.range(0)));
-    const int jobs = static_cast<int>(state.range(1));
     for (auto _ : state) {
         auto cfgs = graph::buildCfgs(trace.machine.records(),
-                                     trace.machine.symtab(), jobs);
+                                     trace.machine.symtab());
         benchmark::DoNotOptimize(cfgs.byFunc.size());
     }
     state.SetItemsProcessed(state.iterations() *
                             trace.machine.records().size());
 }
-BENCHMARK(BM_CfgBuild)
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4});
+BENCHMARK(BM_CfgBuild)->Arg(1000)->Arg(10000);
 
 void
 BM_ControlDeps(benchmark::State &state)
@@ -94,16 +88,12 @@ BM_ControlDeps(benchmark::State &state)
     SyntheticTrace trace(static_cast<int>(state.range(0)));
     const auto cfgs = graph::buildCfgs(trace.machine.records(),
                                        trace.machine.symtab());
-    const int jobs = static_cast<int>(state.range(1));
     for (auto _ : state) {
-        auto deps = graph::buildControlDeps(cfgs, jobs);
+        auto deps = graph::buildControlDeps(cfgs);
         benchmark::DoNotOptimize(deps.pairCount());
     }
 }
-BENCHMARK(BM_ControlDeps)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4});
+BENCHMARK(BM_ControlDeps)->Arg(10000);
 
 void
 BM_BackwardSlice(benchmark::State &state)
@@ -182,21 +172,6 @@ BM_StdUnorderedMapInsertFindErase(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StdUnorderedMapInsertFindErase);
-
-/** Fixed cost of dispatching a parallelFor across the worker pool. */
-void
-BM_ThreadPoolParallelFor(benchmark::State &state)
-{
-    ThreadPool pool(static_cast<unsigned>(state.range(0)));
-    std::vector<uint64_t> sums(1024, 0);
-    for (auto _ : state) {
-        pool.parallelFor(0, sums.size(),
-                         [&](size_t i) { sums[i] += i; });
-        benchmark::DoNotOptimize(sums.data());
-    }
-    state.SetItemsProcessed(state.iterations() * sums.size());
-}
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(3);
 
 } // namespace
 

@@ -92,9 +92,8 @@ profileMember(uint64_t seed, const scenario::Knobs &knobs)
 
     slicer::SlicerOptions options;
     const auto cfgs = graph::buildCfgs(run.records(),
-                                       run.machine->symtab(),
-                                       options.jobs);
-    const auto deps = graph::buildControlDeps(cfgs, options.jobs);
+                                       run.machine->symtab());
+    const auto deps = graph::buildControlDeps(cfgs);
     const auto slice = slicer::computeSlice(
         run.records(), cfgs, deps, run.machine->pixelCriteria(),
         bench::windowedOptions(run, options));

@@ -69,10 +69,10 @@ struct Cfg
 struct CfgSet
 {
     /**
-     * Feed-level totals, defined purely in terms of the record stream so
-     * both builders fill them identically. The verification layer's
-     * graph linter recomputes each from the raw trace and diffs — a
-     * mismatch means the builder dropped or duplicated work.
+     * Feed-level totals, defined purely in terms of the record stream.
+     * The verification layer's graph linter recomputes each from the
+     * raw trace and diffs — a mismatch means the builder dropped or
+     * duplicated work.
      */
     struct Stats
     {
@@ -122,98 +122,43 @@ struct CfgSet
 };
 
 /**
- * Incremental forward-pass CFG builder: feed records first-to-last, then
- * take the finished CfgSet. Both the in-memory and the file-streaming
- * front ends drive this.
+ * The forward-pass CFG builder: feed records first-to-last, then take
+ * the finished CfgSet. Both the in-memory and the file-streaming front
+ * ends drive this.
+ *
+ * feed() performs only the inherently sequential work (call/return
+ * frame matching, synthetic-function assignment, per-record
+ * attribution) and records one compact transition per record, grouped
+ * by function. A small direct-mapped filter per function drops
+ * transitions already seen, so the recorded streams hold roughly the
+ * *unique* control-flow edges, not one entry per record — loop-heavy
+ * traces shrink by orders of magnitude. finish() then replays each
+ * function's stream into its Cfg. The filter keeps the first occurrence
+ * of every transition in order, so node ids are assigned in first-use
+ * order of the pcs, and the replay's addEdge() dedups the occasional
+ * duplicate a filter collision lets through.
  */
 class CfgBuilder
 {
   public:
     explicit CfgBuilder(const trace::SymbolTable &symtab);
 
-    /** Consume the next record (records must arrive in trace order). */
-    void feed(const trace::Record &record);
-
-    /** Close open frames and return the result; the builder is spent. */
-    CfgSet finish();
-
-  private:
-    struct Frame
-    {
-        trace::FuncId func = trace::kNoFunc;
-        NodeId lastNode = kNoNode;
-    };
-
-    Cfg &cfgFor(trace::FuncId func);
-    Frame &topFrame(trace::ThreadId tid);
-    trace::FuncId step(trace::ThreadId tid, trace::Pc pc, bool is_branch);
-
-    const trace::SymbolTable &symtab_;
-    CfgSet out_;
-    std::unordered_map<trace::ThreadId, std::vector<Frame>> threads_;
-    trace::FuncId nextSynthetic_;
-    bool finished_ = false;
-};
-
-/**
- * Incremental forward-pass CFG builder that defers node and edge
- * construction so it can be parallelized across functions.
- *
- * feed() performs only the inherently sequential work (call/return frame
- * matching, synthetic-function assignment, per-record attribution) and
- * records one compact transition per record, grouped by function. A small
- * direct-mapped filter per function drops transitions already seen, so
- * the recorded streams hold roughly the *unique* control-flow edges, not
- * one entry per record — loop-heavy traces shrink by orders of magnitude.
- * finish(jobs) then replays each function's stream independently — on a
- * thread pool when jobs > 1 — producing a CfgSet bit-identical to
- * CfgBuilder's: the filter keeps the first occurrence of every
- * transition in order, so node ids still get assigned in first-use
- * order, and the replay's addEdge() dedups the occasional duplicate a
- * filter collision lets through.
- *
- * For in-memory traces, feedAll() additionally parallelizes the feed
- * itself by sharding the trace into contiguous record ranges. A cheap
- * serial structure pass (only Call/Ret records mutate call stacks)
- * computes each shard's starting stacks and pre-assigns synthetic
- * function ids in exact serial order; the shards then feed their ranges
- * concurrently. The one value a shard cannot know — the last pc its
- * starting top frame executed, which lives in the previous shard — is
- * emitted as a placeholder transition and patched serially afterwards,
- * at most one per (shard, thread). Because shards are contiguous record
- * ranges, concatenating their streams preserves global first-occurrence
- * order, so the output is still bit-identical to CfgBuilder's for every
- * jobs value.
- */
-class ParallelCfgBuilder
-{
-  public:
-    explicit ParallelCfgBuilder(const trace::SymbolTable &symtab);
-
     /** Size the attribution array upfront when the trace length is known. */
     void reserveRecords(size_t count);
 
-    /** Consume the next record (records must arrive in trace order). */
-    void feed(const trace::Record &record);
-
     /**
-     * Consume an entire in-memory trace, sharding the feed over `jobs`
-     * threads (falls back to the serial feed() loop for small traces,
-     * jobs <= 1, or machines without the cores to make the extra
-     * structure-pass work pay off). Must be the only feeding call on
-     * this builder.
+     * Consume the next records (records must arrive in trace order).
+     * The attribution array grows once per call and is written through
+     * a raw pointer: per-record push_back bookkeeping is measurable at
+     * this loop's throughput, so feed whole in-memory traces at once.
      */
-    void feedAll(std::span<const trace::Record> records, int jobs);
+    void feed(std::span<const trace::Record> records);
 
-    /**
-     * Test hook: force feedAll to use exactly this many shards,
-     * bypassing the hardware-concurrency and trace-size heuristics so
-     * the sharded path can be exercised on any machine. 0 = disabled.
-     */
-    static size_t shardOverrideForTesting;
+    /** Consume the next record. */
+    void feed(const trace::Record &record) { feed({&record, 1}); }
 
-    /** Replay transitions (jobs-wide) and return the result. */
-    CfgSet finish(int jobs);
+    /** Replay the transitions and return the result; the builder is spent. */
+    CfgSet finish();
 
   private:
     struct Frame
@@ -238,15 +183,6 @@ class ParallelCfgBuilder
     };
 
     static constexpr size_t kFilterSlots = 4096;
-
-    /**
-     * Placeholder for a predecessor pc living in the previous shard;
-     * never a real pc (pcs are assigned densely from 1).
-     */
-    static constexpr trace::Pc kPatchPc = ~trace::Pc{0};
-
-    /** Below this many records, sharded feeding is not worth the setup. */
-    static constexpr size_t kMinShardRecords = size_t{1} << 15;
 
     /** A function's transition stream plus its duplicate filter. */
     struct FuncStream
@@ -281,15 +217,12 @@ class ParallelCfgBuilder
         }
     };
 
-    /** Per-shard feeding state; defined in cfg.cc. */
-    struct Shard;
-
     std::vector<Frame> &stackFor(trace::ThreadId tid);
     Frame &topFrame(trace::ThreadId tid);
     void touchFunc(trace::FuncId func);
     trace::FuncId step(trace::ThreadId tid, trace::Pc pc, bool is_branch);
-    void runShard(Shard &shard, std::span<const trace::Record> records,
-                  size_t begin, size_t end);
+    trace::FuncId attribute(const trace::Record &rec);
+    static void replay(Cfg &cfg, const std::vector<Transition> &steps);
 
     const trace::SymbolTable &symtab_;
     CfgSet out_;
@@ -298,15 +231,18 @@ class ParallelCfgBuilder
     std::vector<trace::FuncId> funcOrder_; ///< First-touch order.
     std::vector<std::vector<Frame>> threads_; ///< Indexed by ThreadId.
     trace::FuncId nextSynthetic_;
+    /** Function of the previous non-pseudo record (pseudo-records
+     *  inherit it). */
+    trace::FuncId lastFunc_ = trace::kNoFunc;
     bool finished_ = false;
 
-    // One-entry hot-path cache for the serial feed: traces run long
-    // same-thread stretches without calls or returns, so the top frame
-    // and its function's stream are the same record after record. The
-    // Frame pointer survives growth of threads_ itself (moving an inner
-    // vector does not move its heap buffer); any push/pop on the same
-    // thread's stack or growth of funcs_ goes through the slow path,
-    // which recomputes the cache.
+    // One-entry hot-path cache: traces run long same-thread stretches
+    // without calls or returns, so the top frame and its function's
+    // stream are the same record after record. The Frame pointer
+    // survives growth of threads_ itself (moving an inner vector does
+    // not move its heap buffer); any push/pop on the same thread's stack
+    // or growth of funcs_ goes through the slow path, which recomputes
+    // the cache.
     trace::ThreadId cacheTid_ = 0;
     Frame *cacheFrame_ = nullptr;
     FuncStream *cacheStream_ = nullptr;
@@ -318,19 +254,20 @@ class ParallelCfgBuilder
  *
  * @param records  the dynamic trace
  * @param symtab   symbol table mapping call targets to functions
- * @param jobs     worker threads for per-function construction; 1 (the
- *                 default) uses the serial CfgBuilder path, <= 0 means
- *                 "all hardware threads". Output is identical either way.
+ *
+ * The trailing int is ignored: the forward pass runs on one thread. It
+ * remains only so existing callers that pass a thread count still build.
  */
 CfgSet buildCfgs(std::span<const trace::Record> records,
-                 const trace::SymbolTable &symtab, int jobs = 1);
+                 const trace::SymbolTable &symtab, int = 1);
 
 /**
  * Forward pass over a trace file, streamed in blocks: peak memory is the
- * CFGs plus one per-record function id, not the records themselves.
+ * CFGs plus one per-record function id, not the records themselves. The
+ * trailing int is ignored, as in buildCfgs().
  */
 CfgSet buildCfgsFromFile(const std::string &path,
-                         const trace::SymbolTable &symtab, int jobs = 1);
+                         const trace::SymbolTable &symtab, int = 1);
 
 } // namespace graph
 } // namespace webslice

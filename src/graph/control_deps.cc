@@ -7,7 +7,6 @@
 
 #include "graph/postdom.hh"
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
 
 namespace webslice {
 namespace graph {
@@ -200,49 +199,14 @@ collectDeps(const Cfg &cfg, Sink &&sink)
 } // namespace
 
 ControlDepMap
-buildControlDeps(const CfgSet &cfgs, int jobs)
+buildControlDeps(const CfgSet &cfgs, int)
 {
     ControlDepMap out;
-    const unsigned threads = ThreadPool::resolveJobs(jobs);
-
-    if (threads <= 1 || cfgs.byFunc.size() <= 1) {
-        for (const auto &kv : cfgs.byFunc) {
-            const Cfg &cfg = kv.second;
-            collectDeps(cfg, [&out, &cfg](Pc pc, Pc branch_pc) {
-                out.add(cfg.func, pc, branch_pc);
-            });
-        }
-        return out;
-    }
-
-    // One work item per function, largest CFGs first so the pool is not
-    // left waiting on one big function scheduled last.
-    std::vector<const Cfg *> work;
-    work.reserve(cfgs.byFunc.size());
-    for (const auto &kv : cfgs.byFunc)
-        work.push_back(&kv.second);
-    std::sort(work.begin(), work.end(),
-              [](const Cfg *a, const Cfg *b) {
-                  if (a->nodeCount() != b->nodeCount())
-                      return a->nodeCount() > b->nodeCount();
-                  return a->func < b->func;
-              });
-
-    std::vector<std::vector<std::pair<Pc, Pc>>> results(work.size());
-    ThreadPool pool(threads - 1);
-    pool.parallelFor(0, work.size(), [&](size_t i) {
-        collectDeps(*work[i], [&results, i](Pc pc, Pc branch_pc) {
-            results[i].emplace_back(pc, branch_pc);
+    for (const auto &kv : cfgs.byFunc) {
+        const Cfg &cfg = kv.second;
+        collectDeps(cfg, [&out, &cfg](Pc pc, Pc branch_pc) {
+            out.add(cfg.func, pc, branch_pc);
         });
-    });
-
-    // Merge serially. Each (func, pc) key belongs to exactly one
-    // function, and within a function the pairs arrive in the same order
-    // the serial path adds them, so the map contents are identical.
-    for (size_t i = 0; i < work.size(); ++i) {
-        const FuncId func = work[i]->func;
-        for (const auto &[pc, branch_pc] : results[i])
-            out.add(func, pc, branch_pc);
     }
     return out;
 }

@@ -102,15 +102,12 @@ class ControlDepMap
 };
 
 /**
- * Compute control dependences for every CFG in the set.
- *
- * Functions are independent (postdominators and the FOW walk never cross
- * CFGs), so with jobs > 1 the per-function work runs on a thread pool
- * and the per-function results are merged in a deterministic order; the
- * map contents are identical to the serial computation. jobs <= 0 means
- * "all hardware threads".
+ * Compute control dependences for every CFG in the set. Functions are
+ * independent: postdominators and the FOW walk never cross CFGs. The
+ * trailing int is ignored (the pass runs on one thread); it remains only
+ * so existing callers that pass a thread count still build.
  */
-ControlDepMap buildControlDeps(const CfgSet &cfgs, int jobs = 1);
+ControlDepMap buildControlDeps(const CfgSet &cfgs, int = 1);
 
 } // namespace graph
 } // namespace webslice

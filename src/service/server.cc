@@ -74,7 +74,7 @@ bindTcpSocket(int port, int &bound_port)
 
 Server::Server(const ServerOptions &options)
     : options_(options),
-      cache_(options.cacheBytes, options.forwardJobs),
+      cache_(options.cacheBytes),
       scheduler_(cache_,
                  Scheduler::Options{options.workers, options.maxQueue})
 {

@@ -45,9 +45,6 @@ struct ServerOptions
     /** Session-cache byte budget. */
     uint64_t cacheBytes = 2ull << 30;
 
-    /** Forward-pass threads when a session is built (0 = all cores). */
-    int forwardJobs = 0;
-
     /** Fleet identity stamped on every result and status frame; empty
      *  outside fleet deployments (the fields are then omitted). */
     std::string shardId;

@@ -91,8 +91,8 @@ Session::windowEnd(bool no_window, uint64_t end_override) const
     return end;
 }
 
-SessionCache::SessionCache(uint64_t byte_budget, int forward_jobs)
-    : budget_(byte_budget), forwardJobs_(forward_jobs)
+SessionCache::SessionCache(uint64_t byte_budget)
+    : budget_(byte_budget)
 {
     counters_.byteBudget = byte_budget;
     // The columnar trace decode cache shares the --cache-bytes budget
@@ -117,9 +117,8 @@ SessionCache::buildSession(const std::string &prefix,
     session->trace =
         std::make_unique<trace::MappedTrace>(prefix + ".trc");
     session->cfgs = graph::buildCfgs(session->trace->records(),
-                                     session->sidecars.symtab,
-                                     forwardJobs_);
-    session->deps = graph::buildControlDeps(session->cfgs, forwardJobs_);
+                                     session->sidecars.symtab);
+    session->deps = graph::buildControlDeps(session->cfgs);
     // Seal now: concurrent queries will probe depsOf() from worker
     // threads, and the lazy first-use seal is not race-safe.
     session->deps.ensureSealed();

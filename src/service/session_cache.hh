@@ -83,10 +83,8 @@ class SessionCache
      * @param byte_budget approximate ceiling on cached session bytes;
      *                    the most recent session is always retained
      *                    even if it exceeds the budget alone.
-     * @param forward_jobs worker threads for the forward pass when a
-     *                    session is built (0 = all cores).
      */
-    explicit SessionCache(uint64_t byte_budget, int forward_jobs = 0);
+    explicit SessionCache(uint64_t byte_budget);
 
     SessionCache(const SessionCache &) = delete;
     SessionCache &operator=(const SessionCache &) = delete;
@@ -194,7 +192,6 @@ class SessionCache
     void publishGaugesLocked();
 
     const uint64_t budget_;
-    const int forwardJobs_;
 
     mutable std::mutex mutex_;
     std::condition_variable buildDone_;

@@ -71,9 +71,8 @@ struct SlicerOptions
     bool includeRegisterDeps = true;
 
     /**
-     * Worker threads for the forward pass (CFG construction and control
-     * dependences). 1 (the default) is the serial path; <= 0 means "all
-     * hardware threads". Results are identical for every value.
+     * Ignored: the forward pass runs on one thread. Kept only so callers
+     * that still set a thread count build; nothing reads it.
      */
     int jobs = 1;
 

@@ -138,7 +138,10 @@ lzDecompress(const uint8_t *src, size_t src_size, uint8_t *dst,
         if (literal_len > static_cast<size_t>(src_end - p) ||
             literal_len > dst_size - out)
             return false;
-        std::memcpy(dst + out, p, literal_len);
+        // Skip empty runs: dst and p may be null for empty buffers, and
+        // memcpy requires valid pointers even for zero bytes.
+        if (literal_len)
+            std::memcpy(dst + out, p, literal_len);
         p += literal_len;
         out += literal_len;
 

@@ -1,8 +1,6 @@
 #include "support/thread_pool.hh"
 
-#include <atomic>
 #include <exception>
-#include <memory>
 
 namespace webslice {
 
@@ -41,90 +39,6 @@ ThreadPool::workerLoop()
     }
 }
 
-namespace {
-
-/** Shared state of one parallelFor invocation. */
-struct LoopState
-{
-    std::atomic<size_t> next;
-    size_t end;
-    const std::function<void(size_t)> *body;
-
-    std::mutex mutex;
-    std::condition_variable done;
-    size_t outstanding = 0; ///< Driver tasks not yet finished.
-    std::exception_ptr error;
-
-    void
-    run()
-    {
-        while (true) {
-            const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= end)
-                break;
-            try {
-                (*body)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!error)
-                    error = std::current_exception();
-                // Abandon the remaining indices.
-                next.store(end, std::memory_order_relaxed);
-                break;
-            }
-        }
-    }
-};
-
-} // namespace
-
-void
-ThreadPool::parallelFor(size_t begin, size_t end,
-                        const std::function<void(size_t)> &body)
-{
-    if (begin >= end)
-        return;
-
-    const size_t span = end - begin;
-    if (workers_.empty() || span == 1) {
-        for (size_t i = begin; i < end; ++i)
-            body(i);
-        return;
-    }
-
-    auto state = std::make_shared<LoopState>();
-    state->next.store(begin, std::memory_order_relaxed);
-    state->end = end;
-    state->body = &body;
-
-    // One driver per worker (capped by the amount of work); the caller
-    // acts as one more driver below.
-    const size_t drivers =
-        std::min<size_t>(workers_.size(), span > 1 ? span - 1 : 1);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t d = 0; d < drivers; ++d) {
-            ++state->outstanding;
-            tasks_.push([state] {
-                state->run();
-                {
-                    std::lock_guard<std::mutex> lock(state->mutex);
-                    --state->outstanding;
-                }
-                state->done.notify_one();
-            });
-        }
-    }
-    cv_.notify_all();
-
-    state->run();
-
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done.wait(lock, [&] { return state->outstanding == 0; });
-    if (state->error)
-        std::rethrow_exception(state->error);
-}
-
 void
 TaskGroup::wait()
 {
@@ -147,12 +61,13 @@ TaskGroup::outstanding() const
 void
 TaskGroup::finishOne(std::exception_ptr error)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --outstanding_;
-        if (error && !error_)
-            error_ = error;
-    }
+    // Notify under the lock: once outstanding_ reaches zero a waiter may
+    // return and destroy the group, so done_ must not be touched after
+    // the mutex is released.
+    std::lock_guard<std::mutex> lock(mutex_);
+    --outstanding_;
+    if (error && !error_)
+        error_ = error;
     done_.notify_all();
 }
 
@@ -204,15 +119,6 @@ ThreadPool::drain(TaskGroup &group)
         task();
     }
     group.wait();
-}
-
-unsigned
-ThreadPool::resolveJobs(int jobs)
-{
-    if (jobs > 0)
-        return static_cast<unsigned>(jobs);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
 }
 
 } // namespace webslice

@@ -2,12 +2,8 @@
  * @file
  * A fixed pool of worker threads with a shared task queue.
  *
- * The profiler's forward pass decomposes into per-function units
- * (postdominators and control dependences are computed per CFG), so the
- * only primitive the pipeline needs is a blocking parallelFor over an
- * index range. The calling thread participates in the loop, so a pool of
- * W workers applies W+1 threads to the work; a pool of 0 workers degrades
- * to a plain serial loop with no synchronization.
+ * The slicing service's scheduler posts query tasks against a TaskGroup
+ * and drains them; a pool of 0 workers runs every task inline.
  */
 
 #ifndef WEBSLICE_SUPPORT_THREAD_POOL_HH
@@ -67,17 +63,6 @@ class ThreadPool
     }
 
     /**
-     * Run body(i) for every i in [begin, end), distributing indices
-     * dynamically over the workers and the calling thread. Blocks until
-     * every index has been processed. The first exception thrown by any
-     * body is rethrown on the caller; remaining indices are abandoned.
-     *
-     * Not reentrant: body must not call parallelFor on the same pool.
-     */
-    void parallelFor(size_t begin, size_t end,
-                     const std::function<void(size_t)> &body);
-
-    /**
      * Enqueue one task against `group`. Returns immediately; the task
      * runs on a worker thread (or inside a drain() call). With zero
      * workers the task runs inline before post() returns, so callers
@@ -92,12 +77,6 @@ class ThreadPool
      * executed too — work is work.
      */
     void drain(TaskGroup &group);
-
-    /**
-     * Translate a user-facing --jobs value into a thread count: values
-     * <= 0 mean "all hardware threads", anything else is taken as-is.
-     */
-    static unsigned resolveJobs(int jobs);
 
   private:
     void workerLoop();

@@ -118,6 +118,62 @@ struct ChainProgram
     }
 };
 
+/**
+ * A program that exercises the builder's frame matching beyond the
+ * chain family: two threads, nested calls, loops with branches,
+ * cross-thread memory flow, and records outside any traced function
+ * (synthetic toplevels).
+ */
+Machine
+makeNestedProgram()
+{
+    Machine machine;
+    const auto t0 = machine.addThread("main");
+    const auto t1 = machine.addThread("worker");
+    const auto outer = machine.registerFunction("nested::outer");
+    const auto inner = machine.registerFunction("nested::inner");
+    const auto sink = machine.registerFunction("nested::sink");
+    const uint64_t shared = machine.alloc(64, "shared");
+    const uint64_t pixels = machine.alloc(64, "pixels");
+    const uint64_t junk = machine.alloc(64, "junk");
+
+    machine.post(t0, [=](Ctx &ctx) {
+        Value total = ctx.imm(0);
+        {
+            TracedScope scope(ctx, outer);
+            Value i = ctx.imm(0);
+            Value n = ctx.imm(8);
+            while (true) {
+                Value more = ctx.ltu(i, n);
+                if (!ctx.branchIf(more))
+                    break;
+                {
+                    TracedScope nested(ctx, inner);
+                    Value sq = ctx.mul(i, i);
+                    total = ctx.add(total, sq);
+                }
+                i = ctx.addi(i, 1);
+            }
+            ctx.store(shared, 8, total);
+            Value waste = ctx.muli(total, 31);
+            ctx.store(junk, 8, waste);
+        }
+        // Untraced tail: lands in the thread's synthetic toplevel.
+        Value tail = ctx.addi(total, 1);
+        ctx.store(junk + 8, 8, tail);
+    });
+    machine.post(t1, [=](Ctx &ctx) {
+        TracedScope scope(ctx, sink);
+        Value v = ctx.load(shared, 8);
+        Value doubled = ctx.shli(v, 1);
+        ctx.store(pixels, 8, doubled);
+        const trace::MemRange ranges[] = {{pixels, 64}};
+        ctx.marker(ranges);
+    });
+    machine.run();
+    return machine;
+}
+
 struct ChainParams
 {
     int chains;
@@ -132,15 +188,17 @@ class CheckSweep : public ::testing::TestWithParam<ChainParams>
 
 // ---- graph linter --------------------------------------------------------
 
-TEST_P(CheckSweep, LinterAcceptsBuilderOutput)
+/**
+ * The linter's set-based replay is the forward pass's independent
+ * reference: the builder's output must draw zero findings.
+ */
+void
+expectLintClean(const Machine &machine)
 {
-    const auto p = GetParam();
-    ChainProgram program(p.chains, p.threads, p.live, p.seed);
-    const auto cfgs =
-        buildCfgs(program.machine.records(), program.machine.symtab());
+    const auto cfgs = buildCfgs(machine.records(), machine.symtab());
     const auto deps = buildControlDeps(cfgs);
-    const auto lint = lintGraphs(program.machine.records(),
-                                 program.machine.symtab(), cfgs, &deps);
+    const auto lint =
+        lintGraphs(machine.records(), machine.symtab(), cfgs, &deps);
     EXPECT_TRUE(lint.ok()) << (lint.findings.messages.empty()
                                    ? "?"
                                    : lint.findings.messages.front());
@@ -149,6 +207,14 @@ TEST_P(CheckSweep, LinterAcceptsBuilderOutput)
     EXPECT_GT(lint.transitionsReplayed, 0u);
     EXPECT_GT(lint.postdomNodesDiffed, 0u);
     EXPECT_EQ(lint.postdomSkippedCfgs, 0u);
+}
+
+TEST_P(CheckSweep, LinterAcceptsBuilderOutput)
+{
+    const auto p = GetParam();
+    ChainProgram program(p.chains, p.threads, p.live, p.seed);
+    expectLintClean(program.machine);
+    expectLintClean(makeNestedProgram());
 }
 
 /** Mutation fixture: a known program's artifacts, ready to be damaged. */

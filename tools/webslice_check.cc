@@ -3,7 +3,7 @@
  * webslice-check: the verification layer's front end.
  *
  *   webslice-check <prefix> [--syscalls] [--no-window] [--end N]
- *                  [--jobs N] [--probes N] [--fail-on-race]
+ *                  [--probes N] [--fail-on-race]
  *                  [--cdg FILE] [--dump-cdg FILE] [--metrics-json FILE]
  *
  * Reads the artifacts recorded by webslice-record (<prefix>.trc/.sym/
@@ -61,7 +61,7 @@ using namespace webslice;
 namespace {
 
 constexpr char kUsage[] =
-    "usage: %s <prefix> [--syscalls] [--no-window] [--end N] [--jobs N]\n"
+    "usage: %s <prefix> [--syscalls] [--no-window] [--end N]\n"
     "       [--probes N] [--fail-on-race] [--cdg FILE] [--dump-cdg FILE]\n"
     "       [--metrics-json FILE]\n"
     "\n"
@@ -69,7 +69,6 @@ constexpr char kUsage[] =
     "                        the pixel-buffer slice\n"
     "  --no-window           ignore the metadata load-complete window\n"
     "  --end N               analyze records [0, N) regardless of metadata\n"
-    "  --jobs N              forward-pass worker threads; 0 = all cores\n"
     "  --probes N            drop-one minimality probes (default 2)\n"
     "  --fail-on-race        exit nonzero when data races are detected\n"
     "  --cdg FILE            audit this control-dependence map instead of\n"
@@ -248,9 +247,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--end")) {
             end_override = static_cast<size_t>(
                 parseCount("--end", need_value("--end"), SIZE_MAX));
-        } else if (!std::strcmp(argv[a], "--jobs")) {
-            slice_options.jobs = static_cast<int>(parseCount(
-                "--jobs", need_value("--jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--probes")) {
             probes = static_cast<size_t>(parseCount(
                 "--probes", need_value("--probes"), 1u << 20));
@@ -310,9 +306,9 @@ main(int argc, char **argv)
     check::GraphLintResult lint;
     {
         ScopedPhase phase("graph-lint");
-        cfgs = graph::buildCfgs(records, symtab, slice_options.jobs);
+        cfgs = graph::buildCfgs(records, symtab);
         if (cdg_in.empty())
-            deps = graph::buildControlDeps(cfgs, slice_options.jobs);
+            deps = graph::buildControlDeps(cfgs);
         else
             deps.load(cdg_in);
         if (!cdg_out.empty())

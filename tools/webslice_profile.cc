@@ -3,7 +3,7 @@
  * webslice-profile: the offline profiler over recorded artifacts.
  *
  *   webslice-profile <prefix> [--syscalls] [--no-window] [--top N]
- *                    [--jobs N] [--metrics-json FILE] [--progress]
+ *                    [--metrics-json FILE] [--progress]
  *
  * Reads <prefix>.trc/.sym/.crit/.meta (as written by webslice-record),
  * runs the forward pass streamed from the file, runs the backward pass
@@ -11,11 +11,8 @@
  * record), and prints per-thread statistics, the waste categorization,
  * and the hottest functions with their slice shares.
  *
- * --jobs N parallelizes the forward pass's per-function work (CFG node
- * and edge construction, postdominators, control dependences) over N
- * threads; 0 means all hardware threads. Results are identical for any
- * value. The attribution arrays at the end use a zero-copy mmap view of
- * the trace instead of a second in-memory copy.
+ * The attribution arrays at the end use a zero-copy mmap view of the
+ * trace instead of a second in-memory copy.
  *
  * --metrics-json FILE writes the machine-readable run report (schema
  * webslice-metrics-v1): phase spans with wall time and peak RSS,
@@ -24,7 +21,7 @@
  * notices and a heartbeat during the reverse walk (records done,
  * records/sec, ETA) to stderr.
  *
- * Unknown flags, missing flag values, and non-numeric --top/--jobs
+ * Unknown flags, missing flag values, and non-numeric --top
  * arguments are rejected with a diagnostic and exit code 1.
  */
 
@@ -60,7 +57,7 @@ using namespace webslice;
 namespace {
 
 constexpr char kUsage[] =
-    "usage: %s <prefix> [--syscalls] [--no-window] [--top N] [--jobs N]\n"
+    "usage: %s <prefix> [--syscalls] [--no-window] [--top N]\n"
     "       [--metrics-json FILE] [--progress]\n"
     "       [--verify] [--static-compare]\n"
     "\n"
@@ -68,7 +65,6 @@ constexpr char kUsage[] =
     "                        buffers\n"
     "  --no-window           ignore the metadata load-complete window\n"
     "  --top N               show the N hottest functions (default 12)\n"
-    "  --jobs N              forward-pass worker threads; 0 = all cores\n"
     "  --metrics-json FILE   write the machine-readable run report\n"
     "                        (FILE of '-' writes it to stdout and moves\n"
     "                        the human-readable report to stderr)\n"
@@ -178,9 +174,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--top")) {
             top = static_cast<size_t>(
                 parseCount("--top", need_value("--top"), SIZE_MAX));
-        } else if (!std::strcmp(argv[a], "--jobs")) {
-            options.jobs = static_cast<int>(parseCount(
-                "--jobs", need_value("--jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
             metrics_json = need_value("--metrics-json");
         } else if (!std::strcmp(argv[a], "--progress")) {
@@ -214,14 +207,13 @@ main(int argc, char **argv)
     {
         phaseNotice(progress, "forward");
         ScopedPhase phase("forward");
-        cfgs = graph::buildCfgsFromFile(prefix + ".trc", symtab,
-                                        options.jobs);
+        cfgs = graph::buildCfgsFromFile(prefix + ".trc", symtab);
     }
     graph::ControlDepMap deps;
     {
         phaseNotice(progress, "postdom-cdg");
         ScopedPhase phase("postdom-cdg");
-        deps = graph::buildControlDeps(cfgs, options.jobs);
+        deps = graph::buildControlDeps(cfgs);
     }
 
     if (use_window && meta.loadOnly &&

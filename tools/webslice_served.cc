@@ -3,7 +3,7 @@
  * webslice-served: the resident slicing service.
  *
  *   webslice-served --socket PATH [--tcp PORT] [--workers N]
- *                   [--queue N] [--cache-bytes N] [--forward-jobs N]
+ *                   [--queue N] [--cache-bytes N]
  *                   [--preload PREFIX]... [--metrics-json FILE]
  *
  * Holds parsed sessions (mmap'd trace, CFGs, postdominators, control
@@ -42,7 +42,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s --socket PATH [--tcp PORT] [--workers N] [--queue N]\n"
-    "       [--cache-bytes N] [--forward-jobs N]\n"
+    "       [--cache-bytes N]\n"
     "       [--preload PREFIX] [--metrics-json FILE]\n"
     "       [--shard-id NAME] [--shard-epoch N]\n"
     "\n"
@@ -54,8 +54,6 @@ constexpr char kUsage[] =
     "                        are rejected (default 64)\n"
     "  --cache-bytes N       byte budget shared by cached sessions and\n"
     "                        query results (default 2 GiB)\n"
-    "  --forward-jobs N      threads for a session's forward pass;\n"
-    "                        0 = all cores (default)\n"
     "  --preload PREFIX      build this recording's session before\n"
     "                        accepting connections (repeatable)\n"
     "  --metrics-json FILE   write the run report at exit ('-' = stdout)\n"
@@ -118,10 +116,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--cache-bytes")) {
             options.cacheBytes = parseCount(
                 "--cache-bytes", need_value("--cache-bytes"), UINT64_MAX);
-        } else if (!std::strcmp(argv[a], "--forward-jobs")) {
-            options.forwardJobs = static_cast<int>(
-                parseCount("--forward-jobs",
-                           need_value("--forward-jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--preload")) {
             preload.push_back(need_value("--preload"));
         } else if (!std::strcmp(argv[a], "--metrics-json")) {

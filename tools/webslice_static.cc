@@ -3,7 +3,7 @@
  * webslice-static: static dependence analysis over recorded artifacts.
  *
  *   webslice-static <prefix> [--criteria pixel|syscalls] [--no-window]
- *                   [--end N] [--jobs N] [--dump-pdg FILE]
+ *                   [--end N] [--dump-pdg FILE]
  *                   [--metrics-json FILE] [--progress]
  *
  * Reads <prefix>.trc/.sym/.crit/.meta, builds the forward-pass CFGs and
@@ -55,7 +55,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s <prefix> [--criteria pixel|syscalls] [--no-window]\n"
-    "       [--end N] [--jobs N] [--dump-pdg FILE]\n"
+    "       [--end N] [--dump-pdg FILE]\n"
     "       [--metrics-json FILE] [--progress]\n"
     "\n"
     "  --criteria MODE       slicing criteria: 'pixel' (pixel buffers,\n"
@@ -63,7 +63,6 @@ constexpr char kUsage[] =
     "  --no-window           ignore the metadata load-complete window\n"
     "  --end N               analyze only records [0, N) (after the\n"
     "                        window clamp)\n"
-    "  --jobs N              forward-pass worker threads; 0 = all cores\n"
     "  --dump-pdg FILE       write the static PDG node table\n"
     "  --metrics-json FILE   write the machine-readable run report\n"
     "                        (schema webslice-static-v1; FILE of '-'\n"
@@ -245,9 +244,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--end")) {
             end_cap = static_cast<size_t>(
                 parseCount("--end", need_value("--end"), SIZE_MAX));
-        } else if (!std::strcmp(argv[a], "--jobs")) {
-            options.jobs = static_cast<int>(parseCount(
-                "--jobs", need_value("--jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--dump-pdg")) {
             dump_pdg = need_value("--dump-pdg");
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
@@ -278,14 +274,13 @@ main(int argc, char **argv)
     {
         phaseNotice(progress, "forward");
         ScopedPhase phase("forward");
-        cfgs = graph::buildCfgsFromFile(prefix + ".trc", symtab,
-                                        options.jobs);
+        cfgs = graph::buildCfgsFromFile(prefix + ".trc", symtab);
     }
     graph::ControlDepMap deps;
     {
         phaseNotice(progress, "postdom-cdg");
         ScopedPhase phase("postdom-cdg");
-        deps = graph::buildControlDeps(cfgs, options.jobs);
+        deps = graph::buildControlDeps(cfgs);
     }
 
     if (use_window && meta.loadOnly && meta.loadCompleteIndex != SIZE_MAX)
