@@ -45,10 +45,9 @@ main()
     double js_share_bing = 0, js_share_load_min = 100;
     for (size_t b = 0; b < specs.size(); ++b) {
         const auto profiled = bench::profileSite(specs[b]);
-        const size_t window = bench::analysisEnd(profiled.run);
         const auto dist = analysis::categorizeUnnecessary(
-            profiled.records(), profiled.slice.inSlice, profiled.cfgs,
-            profiled.run.machine->symtab(), categorizer, window);
+            profiled.slice, profiled.cfgs, profiled.run.machine->symtab(),
+            categorizer);
 
         std::vector<std::string> row = {specs[b].name};
         for (const auto &category : order)

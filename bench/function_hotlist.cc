@@ -22,11 +22,8 @@ main()
 
     for (const auto &spec : workloads::paperBenchmarks()) {
         const auto profiled = bench::profileSite(spec);
-        const size_t window = bench::analysisEnd(profiled.run);
         const auto stats = analysis::computeFunctionStats(
-            {profiled.records().data(), window},
-            {profiled.slice.inSlice.data(), window}, profiled.cfgs,
-            profiled.run.machine->symtab());
+            profiled.slice, profiled.cfgs, profiled.run.machine->symtab());
         std::printf("--- %s (control-dep pairs: %zu) ---\n",
                     spec.name.c_str(), profiled.deps.pairCount());
         std::printf("%-52s %12s %8s\n", "function", "instr", "slice%");

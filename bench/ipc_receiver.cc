@@ -40,20 +40,19 @@ main()
         sys_options = bench::windowedOptions(profiled.run, sys_options);
         const auto sys_slice = bench::resliceWith(profiled, sys_options);
 
-        const size_t window = bench::analysisEnd(profiled.run);
+        // Both slices cover the same window, so their per-function
+        // tallies line up slot for slot.
         uint64_t ipc_total = 0, ipc_pixel = 0, ipc_syscall = 0;
         const auto &symtab = profiled.run.machine->symtab();
-        for (size_t i = 0; i < window; ++i) {
-            if (profiled.records()[i].isPseudo())
-                continue;
-            const auto func = profiled.cfgs.funcOf[i];
-            const std::string name =
-                profiled.cfgs.functionName(func, symtab);
+        const auto &pixel_funcs = profiled.slice.byFunc;
+        for (size_t slot = 0; slot < pixel_funcs.size(); ++slot) {
+            const std::string name = profiled.cfgs.functionName(
+                profiled.slice.funcAt(slot), symtab);
             if (categorizer.categoryOf(name) != "IPC")
                 continue;
-            ++ipc_total;
-            ipc_pixel += profiled.slice.inSlice[i] ? 1 : 0;
-            ipc_syscall += sys_slice.inSlice[i] ? 1 : 0;
+            ipc_total += pixel_funcs[slot].total;
+            ipc_pixel += pixel_funcs[slot].slice;
+            ipc_syscall += sys_slice.byFunc[slot].slice;
         }
 
         auto pct = [&](uint64_t n) {

@@ -39,10 +39,8 @@ main()
                     withCommas(machine.now() /
                                spec.browser.cyclesPerMs).c_str());
 
-        const size_t window = bench::analysisEnd(run);
         const auto stats = analysis::computeThreadStats(
-            machine.records(), profiled.slice.inSlice,
-            run.threadNames(), window);
+            profiled.slice, run.threadNames());
         for (const auto &thread : stats.perThread) {
             std::printf("  thread %-24s %12s instr   slice %5.1f%%\n",
                         thread.name.c_str(),

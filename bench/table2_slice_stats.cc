@@ -35,10 +35,8 @@ main()
     const auto specs = workloads::paperBenchmarks();
     for (size_t b = 0; b < specs.size(); ++b) {
         const auto profiled = bench::profileSite(specs[b]);
-        const size_t window = bench::analysisEnd(profiled.run);
         const auto stats = analysis::computeThreadStats(
-            profiled.records(), profiled.slice.inSlice,
-            profiled.run.threadNames(), window);
+            profiled.slice, profiled.run.threadNames());
 
         const auto &ref = paper[b];
         our_all_sum += stats.all.slicePercent();

@@ -16,8 +16,8 @@
  */
 
 #include <cstdio>
-#include <map>
 
+#include "analysis/function_stats.hh"
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
 #include "sim/machine.hh"
@@ -109,22 +109,13 @@ main()
                     slice.instructionsAnalyzed),
                 slice.slicePercent());
 
-    // Per-function attribution.
-    struct Tally { uint64_t total = 0, live = 0; };
-    std::map<std::string, Tally> tallies;
-    for (size_t i = 0; i < records.size(); ++i) {
-        if (records[i].isPseudo())
-            continue;
-        auto &tally = tallies[cfgs.functionName(cfgs.funcOf[i], symtab)];
-        ++tally.total;
-        tally.live += slice.inSlice[i] ? 1 : 0;
-    }
-    for (const auto &kv : tallies) {
+    // Per-function attribution, tallied by the backward pass.
+    for (const auto &row :
+         analysis::computeFunctionStats(slice, cfgs, symtab)) {
         std::printf("  %-24s %4llu instr  %5.1f%% necessary\n",
-                    kv.first.c_str(),
-                    static_cast<unsigned long long>(kv.second.total),
-                    100.0 * static_cast<double>(kv.second.live) /
-                        static_cast<double>(kv.second.total));
+                    row.name.c_str(),
+                    static_cast<unsigned long long>(row.totalInstructions),
+                    row.slicePercent());
     }
     std::printf("\nbroker::route joins the slice only for forwarded "
                 "packets; broker::audit is\npure waste — statistics and "

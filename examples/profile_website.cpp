@@ -95,8 +95,8 @@ main()
     const auto slice = slicer::computeSlice(
         machine.records(), cfgs, deps, machine.pixelCriteria());
 
-    const auto stats = analysis::computeThreadStats(
-        machine.records(), slice.inSlice, tab.threads().names);
+    const auto stats =
+        analysis::computeThreadStats(slice, tab.threads().names);
     std::printf("pixel slice: %.1f%% of all instructions\n",
                 stats.all.slicePercent());
     for (const auto &thread : stats.perThread) {
@@ -109,7 +109,7 @@ main()
     }
 
     const auto dist = analysis::categorizeUnnecessary(
-        machine.records(), slice.inSlice, cfgs, machine.symtab(),
+        slice, cfgs, machine.symtab(),
         analysis::Categorizer::chromiumDefault());
     std::printf("\nwhere the unnecessary %.0f%% lives "
                 "(%.0f%% categorizable):\n",

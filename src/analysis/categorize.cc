@@ -76,66 +76,28 @@ CategoryDistribution::sharePercent(const std::string &category) const
 }
 
 CategoryDistribution
-categorizeUnnecessary(std::span<const trace::Record> records,
-                      std::span<const uint8_t> in_slice,
+categorizeUnnecessary(const slicer::SliceResult &slice,
                       const graph::CfgSet &cfgs,
                       const trace::SymbolTable &symtab,
-                      const Categorizer &categorizer,
-                      size_t end_index)
+                      const Categorizer &categorizer)
 {
-    panic_if(records.size() != in_slice.size(),
-             "records and slice verdicts must be parallel arrays");
-
     CategoryDistribution out;
-
-    // Function id -> category, computed lazily (ids are dense enough to
-    // make a flat cache worthwhile).
-    std::vector<int8_t> cached; // -2 unknown, -1 uncategorized, else index
-    std::vector<std::string> category_names;
-    auto categoryIndex = [&](trace::FuncId func) -> int {
-        if (func == trace::kNoFunc)
-            return -1;
-        if (func >= cached.size())
-            cached.resize(func + 1, -2);
-        if (cached[func] != -2)
-            return cached[func];
-
-        const std::string name = cfgs.functionName(func, symtab);
-        const std::string category = categorizer.categoryOf(name);
-        int idx = -1;
-        if (!category.empty()) {
-            auto it = std::find(category_names.begin(),
-                                category_names.end(), category);
-            if (it == category_names.end()) {
-                category_names.push_back(category);
-                idx = static_cast<int>(category_names.size()) - 1;
-            } else {
-                idx = static_cast<int>(it - category_names.begin());
-            }
-        }
-        panic_if(idx > 126, "too many categories for the i8 cache");
-        cached[func] = static_cast<int8_t>(idx);
-        return idx;
-    };
-
-    std::vector<uint64_t> counts;
-    const size_t end = std::min(end_index, records.size());
-    for (size_t i = 0; i < end; ++i) {
-        if (records[i].isPseudo() || in_slice[i])
+    for (size_t slot = 0; slot < slice.byFunc.size(); ++slot) {
+        const slicer::SliceTally &tally = slice.byFunc[slot];
+        const uint64_t unnecessary = tally.total - tally.slice;
+        if (unnecessary == 0)
             continue;
-        ++out.totalUnnecessary;
-        const int idx = categoryIndex(cfgs.funcOf[i]);
-        if (idx < 0) {
-            ++out.uncategorized;
-        } else {
-            if (counts.size() <= static_cast<size_t>(idx))
-                counts.resize(idx + 1, 0);
-            ++counts[idx];
-        }
+        out.totalUnnecessary += unnecessary;
+        const trace::FuncId func = slice.funcAt(slot);
+        const std::string category =
+            func == trace::kNoFunc
+                ? std::string()
+                : categorizer.categoryOf(cfgs.functionName(func, symtab));
+        if (category.empty())
+            out.uncategorized += unnecessary;
+        else
+            out.counts[category] += unnecessary;
     }
-
-    for (size_t i = 0; i < counts.size(); ++i)
-        out.counts[category_names[i]] = counts[i];
     return out;
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/cfg.hh"
+#include "slicer/slicer.hh"
 #include "staticdep/slice.hh"
 #include "trace/record.hh"
 #include "trace/symtab.hh"
@@ -82,22 +83,19 @@ struct CategoryDistribution
 };
 
 /**
- * Categorize every executed instruction that is NOT in the slice.
+ * Categorize every executed instruction of the analyzed window that is
+ * NOT in the slice, from the pass's per-function tallies. O(functions).
  *
- * @param records   the dynamic trace
- * @param in_slice  per-record verdicts from the backward pass
- * @param cfgs      forward-pass output (per-record enclosing function)
+ * @param slice     the backward pass's result (its byFunc tallies)
+ * @param cfgs      forward-pass output (function names)
  * @param symtab    function names
  * @param categorizer namespace table
- * @param end_index only records before this index are examined
  */
 CategoryDistribution
-categorizeUnnecessary(std::span<const trace::Record> records,
-                      std::span<const uint8_t> in_slice,
+categorizeUnnecessary(const slicer::SliceResult &slice,
                       const graph::CfgSet &cfgs,
                       const trace::SymbolTable &symtab,
-                      const Categorizer &categorizer,
-                      size_t end_index = SIZE_MAX);
+                      const Categorizer &categorizer);
 
 /**
  * The Figure-5-style static-vs-dynamic contrast: every executed

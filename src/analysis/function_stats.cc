@@ -3,33 +3,28 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "support/logging.hh"
-
 namespace webslice {
 namespace analysis {
 
 std::vector<FunctionSliceStats>
-computeFunctionStats(std::span<const trace::Record> records,
-                     std::span<const uint8_t> in_slice,
+computeFunctionStats(const slicer::SliceResult &slice,
                      const graph::CfgSet &cfgs,
                      const trace::SymbolTable &symtab)
 {
-    panic_if(records.size() != in_slice.size(),
-             "records and slice verdicts must be parallel arrays");
-
     std::unordered_map<std::string, FunctionSliceStats> by_name;
-    for (size_t i = 0; i < records.size(); ++i) {
-        if (records[i].isPseudo())
+    for (size_t slot = 0; slot < slice.byFunc.size(); ++slot) {
+        const slicer::SliceTally &tally = slice.byFunc[slot];
+        if (tally.total == 0)
             continue;
-        const trace::FuncId func = cfgs.funcOf[i];
-        const std::string name = cfgs.functionName(func, symtab);
+        const trace::FuncId func = slice.funcAt(slot);
+        std::string name = cfgs.functionName(func, symtab);
         auto &stats = by_name[name];
         if (stats.totalInstructions == 0) {
             stats.func = func;
-            stats.name = name;
+            stats.name = std::move(name);
         }
-        ++stats.totalInstructions;
-        stats.sliceInstructions += in_slice[i] ? 1 : 0;
+        stats.totalInstructions += tally.total;
+        stats.sliceInstructions += tally.slice;
     }
 
     std::vector<FunctionSliceStats> out;
@@ -38,7 +33,9 @@ computeFunctionStats(std::span<const trace::Record> records,
         out.push_back(std::move(kv.second));
     std::sort(out.begin(), out.end(),
               [](const FunctionSliceStats &a, const FunctionSliceStats &b) {
-                  return a.totalInstructions > b.totalInstructions;
+                  if (a.totalInstructions != b.totalInstructions)
+                      return a.totalInstructions > b.totalInstructions;
+                  return a.name < b.name;
               });
     return out;
 }

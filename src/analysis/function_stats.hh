@@ -4,18 +4,18 @@
  * its dynamic instructions joined the slice. This is the function-level
  * "distribution of instructions of the slice" output the paper's profiler
  * design (Section III) lists, and the main debugging lens on dependence
- * chains.
+ * chains. The backward pass counts per function id as it walks
+ * (SliceResult::byFunc); this names, merges and ranks them.
  */
 
 #ifndef WEBSLICE_ANALYSIS_FUNCTION_STATS_HH
 #define WEBSLICE_ANALYSIS_FUNCTION_STATS_HH
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/cfg.hh"
-#include "trace/record.hh"
+#include "slicer/slicer.hh"
 #include "trace/symtab.hh"
 
 namespace webslice {
@@ -24,6 +24,7 @@ namespace analysis {
 /** Instruction totals for one function. */
 struct FunctionSliceStats
 {
+    /** The lowest id among the functions merged under `name`. */
     trace::FuncId func = trace::kNoFunc;
     std::string name;
     uint64_t totalInstructions = 0;
@@ -40,13 +41,13 @@ struct FunctionSliceStats
 };
 
 /**
- * Tally per-function totals, sorted by total instructions descending.
- * Functions with the same qualified name (e.g. per-tag mutex instances)
- * are merged.
+ * Per-function totals of one backward pass over the window it analyzed,
+ * sorted by total instructions descending, ties by name. Functions with
+ * the same qualified name (e.g. per-tag mutex instances) are merged.
+ * O(functions).
  */
 std::vector<FunctionSliceStats>
-computeFunctionStats(std::span<const trace::Record> records,
-                     std::span<const uint8_t> in_slice,
+computeFunctionStats(const slicer::SliceResult &slice,
                      const graph::CfgSet &cfgs,
                      const trace::SymbolTable &symtab);
 

@@ -60,16 +60,13 @@ renderReport(std::ostream &os, std::span<const trace::Record> records,
              const trace::SymbolTable &symtab,
              const ReportOptions &options)
 {
-    const size_t window = std::min(options.endIndex, records.size());
-
     os << format("pixel slice: %s of %s instructions (%.1f%%)\n",
                  withCommas(slice.sliceInstructions).c_str(),
                  withCommas(slice.instructionsAnalyzed).c_str(),
                  slice.slicePercent());
 
     // ---- per thread --------------------------------------------------------
-    const auto stats = computeThreadStats(records, slice.inSlice,
-                                          options.threadNames, window);
+    const auto stats = computeThreadStats(slice, options.threadNames);
     TextTable threads;
     threads.setHeader({"thread", "instructions", "slice"});
     for (const auto &thread : stats.perThread) {
@@ -89,8 +86,8 @@ renderReport(std::ostream &os, std::span<const trace::Record> records,
         Categorizer::chromiumDefault();
     const Categorizer &categorizer =
         options.categorizer ? *options.categorizer : default_categorizer;
-    const auto dist = categorizeUnnecessary(
-        records, slice.inSlice, cfgs, symtab, categorizer, window);
+    const auto dist =
+        categorizeUnnecessary(slice, cfgs, symtab, categorizer);
     os << format("\nunnecessary computations (%.0f%% categorizable):\n",
                  dist.coveragePercent());
     for (const auto &category : Categorizer::reportOrder()) {
@@ -101,9 +98,9 @@ renderReport(std::ostream &os, std::span<const trace::Record> records,
 
     // ---- static-vs-dynamic contrast ---------------------------------------------
     if (options.staticSlice) {
-        const auto contrast =
-            contrastSlices(records, slice.inSlice, *options.staticSlice,
-                           cfgs, symtab, categorizer, window);
+        const auto contrast = contrastSlices(
+            records, slice.inSlice, *options.staticSlice, cfgs, symtab,
+            categorizer, options.endIndex);
         os << '\n';
         renderContrast(os, contrast);
     }
@@ -111,9 +108,7 @@ renderReport(std::ostream &os, std::span<const trace::Record> records,
     // ---- hottest functions ------------------------------------------------------
     if (options.topFunctions == 0)
         return;
-    const auto functions = computeFunctionStats(
-        {records.data(), window}, {slice.inSlice.data(), window}, cfgs,
-        symtab);
+    const auto functions = computeFunctionStats(slice, cfgs, symtab);
     os << "\nhottest functions:\n";
     for (size_t i = 0;
          i < functions.size() && i < options.topFunctions; ++i) {

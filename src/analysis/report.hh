@@ -26,7 +26,10 @@ namespace analysis {
 /** Report configuration. */
 struct ReportOptions
 {
-    /** Only records before this index are reported. */
+    /**
+     * Only records before this index enter the static contrast. The
+     * other sections cover the window the slice itself analyzed.
+     */
     size_t endIndex = SIZE_MAX;
 
     /** Rows in the hottest-functions section (0 disables it). */
@@ -57,6 +60,9 @@ void renderContrast(std::ostream &os, const ContrastBreakdown &contrast);
  * Render the full analysis of one sliced trace to `os`: headline slice
  * percentage, per-thread breakdown, unnecessary-computation categories
  * with coverage, and the hottest functions with their slice shares.
+ * Those sections come from the slice's own tallies. `records` is read
+ * only for the static contrast (options.staticSlice); without it, pass
+ * an empty span.
  */
 void renderReport(std::ostream &os,
                   std::span<const trace::Record> records,

@@ -1,44 +1,24 @@
 #include "analysis/thread_stats.hh"
 
-#include <algorithm>
-
-#include "support/logging.hh"
-
 namespace webslice {
 namespace analysis {
 
 SliceBreakdown
-computeThreadStats(std::span<const trace::Record> records,
-                   std::span<const uint8_t> in_slice,
-                   std::span<const std::string> thread_names,
-                   size_t end_index)
+computeThreadStats(const slicer::SliceResult &slice,
+                   std::span<const std::string> thread_names)
 {
-    panic_if(records.size() != in_slice.size(),
-             "records and slice verdicts must be parallel arrays");
-
     SliceBreakdown out;
     out.all.name = "All";
-
-    const size_t end = std::min(end_index, records.size());
-    for (size_t i = 0; i < end; ++i) {
-        const auto &rec = records[i];
-        if (rec.isPseudo())
-            continue;
-        if (rec.tid >= out.perThread.size()) {
-            out.perThread.resize(rec.tid + 1);
-            for (size_t t = 0; t < out.perThread.size(); ++t) {
-                out.perThread[t].tid = static_cast<trace::ThreadId>(t);
-                if (t < thread_names.size())
-                    out.perThread[t].name = thread_names[t];
-            }
-        }
-        auto &stats = out.perThread[rec.tid];
-        ++stats.totalInstructions;
-        ++out.all.totalInstructions;
-        if (in_slice[i]) {
-            ++stats.sliceInstructions;
-            ++out.all.sliceInstructions;
-        }
+    out.perThread.resize(slice.byThread.size());
+    for (size_t tid = 0; tid < slice.byThread.size(); ++tid) {
+        auto &stats = out.perThread[tid];
+        stats.tid = static_cast<trace::ThreadId>(tid);
+        if (tid < thread_names.size())
+            stats.name = thread_names[tid];
+        stats.totalInstructions = slice.byThread[tid].total;
+        stats.sliceInstructions = slice.byThread[tid].slice;
+        out.all.totalInstructions += stats.totalInstructions;
+        out.all.sliceInstructions += stats.sliceInstructions;
     }
     return out;
 }

@@ -2,7 +2,8 @@
  * @file
  * Per-thread slice statistics — the data behind the paper's Table II
  * (pixels-slice percentage and total instructions for All / Main /
- * Compositor / Rasterizer threads).
+ * Compositor / Rasterizer threads). The backward pass counts them as it
+ * walks (SliceResult::byThread); this names and totals them.
  */
 
 #ifndef WEBSLICE_ANALYSIS_THREAD_STATS_HH
@@ -12,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/record.hh"
+#include "slicer/slicer.hh"
 
 namespace webslice {
 namespace analysis {
@@ -43,18 +44,15 @@ struct SliceBreakdown
 };
 
 /**
- * Tally per-thread instruction and slice counts.
+ * Per-thread instruction and slice counts of one backward pass, over
+ * the window it analyzed. O(threads).
  *
- * @param records      the dynamic trace
- * @param in_slice     per-record verdicts from the backward pass
+ * @param slice        the pass's result (its byThread tallies)
  * @param thread_names optional names indexed by tid (shorter is fine)
- * @param end_index    only records before this index are counted
  */
 SliceBreakdown
-computeThreadStats(std::span<const trace::Record> records,
-                   std::span<const uint8_t> in_slice,
-                   std::span<const std::string> thread_names = {},
-                   size_t end_index = SIZE_MAX);
+computeThreadStats(const slicer::SliceResult &slice,
+                   std::span<const std::string> thread_names = {});
 
 } // namespace analysis
 } // namespace webslice

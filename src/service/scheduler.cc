@@ -50,8 +50,8 @@ summarize(const Session &session, slicer::CriteriaMode mode,
         fnv1a64(slice.inSlice.data(), slice.inSlice.size());
 
     const auto dist = analysis::categorizeUnnecessary(
-        records, slice.inSlice, session.cfgs, session.sidecars.symtab,
-        analysis::Categorizer::chromiumDefault(), slice.analyzedWindowEnd);
+        slice, session.cfgs, session.sidecars.symtab,
+        analysis::Categorizer::chromiumDefault());
     summary.categoryCoveragePercent = dist.coveragePercent();
     for (const auto &category : analysis::Categorizer::reportOrder()) {
         const double share = dist.sharePercent(category);

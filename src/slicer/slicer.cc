@@ -57,6 +57,9 @@ struct ThreadState
     std::vector<trace::MemRange> syscallReads;
     bool syscallWriteWasLive = false;
 
+    /** This thread's attribution, copied into SliceResult::byThread. */
+    SliceTally tally;
+
     void
     genReg(RegId reg)
     {
@@ -80,7 +83,6 @@ struct ThreadState
 
 struct BackwardPass::Impl
 {
-    const graph::CfgSet &cfgs;
     const graph::ControlDepMap &deps;
     const trace::CriteriaSet &criteria;
     SlicerOptions options;
@@ -89,6 +91,11 @@ struct BackwardPass::Impl
     SliceResult result;
     size_t lastIndex;
     bool finished = false;
+
+    /** cfgs.funcOf, and the number of forward-pass function ids (byFunc
+     *  holds one more slot, for kNoFunc). */
+    const FuncId *funcOf;
+    size_t funcCount;
 
     SparseByteSet liveMem;
 
@@ -103,13 +110,39 @@ struct BackwardPass::Impl
     Impl(const graph::CfgSet &cfgs_in, const graph::ControlDepMap &deps_in,
          const trace::CriteriaSet &criteria_in,
          const SlicerOptions &options_in, size_t record_count)
-        : cfgs(cfgs_in), deps(deps_in), criteria(criteria_in),
-          options(options_in), recordCount(record_count),
-          lastIndex(record_count)
+        : deps(deps_in), criteria(criteria_in), options(options_in),
+          recordCount(record_count), lastIndex(record_count),
+          funcOf(cfgs_in.funcOf.data()),
+          funcCount(cfgs_in.firstSynthetic == trace::kNoFunc
+                        ? 0
+                        : size_t{cfgs_in.firstSynthetic} +
+                              cfgs_in.syntheticNames.size())
     {
         result.inSlice.assign(record_count, 0);
         result.analyzedWindowEnd =
             std::min(options.endIndex, record_count);
+        result.byFunc.resize(funcCount + 1);
+    }
+
+    /** byFunc slot of the function enclosing record `index`. */
+    SliceTally &
+    funcTally(size_t index)
+    {
+        const FuncId func = funcOf[index];
+        if (func < funcCount) [[likely]]
+            return result.byFunc[func];
+        return noFuncTally(index);
+    }
+
+    /** The kNoFunc slot; any other id past the forward pass's range
+     *  means the CfgSet does not belong to this trace. */
+    [[gnu::noinline]] SliceTally &
+    noFuncTally(size_t index)
+    {
+        panic_if(funcOf[index] != trace::kNoFunc, "record ", index,
+                 " is attributed to function id ", funcOf[index],
+                 ", outside the forward pass's ", funcCount, " ids");
+        return result.byFunc.back();
     }
 
     ThreadState &
@@ -157,7 +190,9 @@ struct BackwardPass::Impl
     {
         result.inSlice[index] = 1;
         ++result.sliceInstructions;
-        addControlDeps(ts, cfgs.funcOf[index], rec.pc);
+        ++ts.tally.slice;
+        ++funcTally(index).slice;
+        addControlDeps(ts, funcOf[index], rec.pc);
         if (!ts.frames.empty())
             ts.frames.back().any = true;
     }
@@ -197,17 +232,42 @@ struct BackwardPass::Impl
         lastIndex = 0;
     }
 
-    /** Fold live-set diagnostics into `result` (called once, at finish). */
+    /** Fold live-set diagnostics and the per-thread tallies into
+     *  `result` (called once, at finish). */
     void
     collectStats()
     {
         result.flatProbes = liveMem.probeCount();
         result.flatResizes = liveMem.resizeCount();
-        for (const auto &slot : threads) {
-            if (slot) {
-                result.flatProbes += slot->pending.probeCount();
-                result.flatResizes += slot->pending.resizeCount();
+        for (size_t tid = 0; tid < threads.size(); ++tid) {
+            const auto &slot = threads[tid];
+            if (!slot)
+                continue;
+            result.flatProbes += slot->pending.probeCount();
+            result.flatResizes += slot->pending.resizeCount();
+            if (slot->tally.total == 0)
+                continue; // pseudo records only: no instructions
+            result.byThread.resize(tid + 1);
+            result.byThread[tid] = slot->tally;
+        }
+    }
+
+    /** Both tallies must account for exactly the pass's totals. */
+    void
+    checkTallies() const
+    {
+        const SliceTally expected{result.instructionsAnalyzed,
+                                  result.sliceInstructions};
+        for (const auto *tallies : {&result.byThread, &result.byFunc}) {
+            SliceTally sum;
+            for (const SliceTally &t : *tallies) {
+                sum.total += t.total;
+                sum.slice += t.slice;
             }
+            panic_if(sum != expected, "attribution tallies (", sum.total,
+                     " instructions, ", sum.slice,
+                     " in slice) disagree with the pass totals (",
+                     expected.total, ", ", expected.slice, ")");
         }
     }
 
@@ -216,8 +276,11 @@ struct BackwardPass::Impl
     {
         ThreadState &ts = threadState(rec.tid);
 
-        if (!rec.isPseudo())
+        if (!rec.isPseudo()) {
             ++result.instructionsAnalyzed;
+            ++ts.tally.total;
+            ++funcTally(idx).total;
+        }
 
         switch (rec.kind) {
           case RecordKind::Marker: {
@@ -341,6 +404,8 @@ struct BackwardPass::Impl
                     !result.inSlice[ret_index]) {
                     result.inSlice[ret_index] = 1;
                     ++result.sliceInstructions;
+                    ++ts.tally.slice;
+                    ++funcTally(ret_index).slice;
                 }
             }
             break;
@@ -400,6 +465,7 @@ BackwardPass::finish()
     panic_if(impl_->finished, "finish called twice");
     impl_->finished = true;
     impl_->collectStats();
+    impl_->checkTallies();
     publishSliceMetrics(impl_->result);
     return std::move(impl_->result);
 }

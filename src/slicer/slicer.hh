@@ -85,6 +85,18 @@ struct SlicerOptions
     double progressIntervalSeconds = 0.0;
 };
 
+/**
+ * Instruction counts of one function or thread inside the analyzed
+ * window: every executed instruction, and those that joined the slice.
+ */
+struct SliceTally
+{
+    uint64_t total = 0;
+    uint64_t slice = 0;
+
+    bool operator==(const SliceTally &) const = default;
+};
+
 /** Output of one backward pass. */
 struct SliceResult
 {
@@ -119,6 +131,26 @@ struct SliceResult
     /** Live-set hash-table totals. */
     uint64_t flatProbes = 0;
     uint64_t flatResizes = 0;
+
+    /**
+     * Attribution, counted by the walk as it visits each record (pseudo
+     * records excluded). byFunc is indexed by FuncId over the forward
+     * pass's id range (symbol ids, then synthetics); its last slot
+     * collects instructions with no enclosing function (kNoFunc).
+     * byThread is indexed by tid, up to the highest thread with an
+     * instruction in the window. Each sums to {instructionsAnalyzed,
+     * sliceInstructions}.
+     */
+    std::vector<SliceTally> byFunc;
+    std::vector<SliceTally> byThread;
+
+    /** The function byFunc[slot] counts (kNoFunc for the last slot). */
+    trace::FuncId
+    funcAt(size_t slot) const
+    {
+        return slot + 1 == byFunc.size() ? trace::kNoFunc
+                                         : static_cast<trace::FuncId>(slot);
+    }
 
     /** Slice share of analyzed instructions, in percent. */
     double

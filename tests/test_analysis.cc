@@ -13,11 +13,13 @@
 #include "graph/control_deps.hh"
 #include "sim/machine.hh"
 #include "slicer/slicer.hh"
+#include "tally_oracle.hh"
 
 namespace webslice {
 namespace analysis {
 namespace {
 
+using oracle::sliceFromVerdicts;
 using sim::Ctx;
 using sim::Machine;
 using sim::TracedScope;
@@ -35,7 +37,8 @@ TEST(ThreadStats, CountsPerThread)
         records[i].tid = static_cast<trace::ThreadId>(i % 2);
 
     const std::string names[] = {"main", "compositor"};
-    const auto stats = computeThreadStats(records, verdicts, names);
+    const auto stats =
+        computeThreadStats(sliceFromVerdicts(records, verdicts), names);
     EXPECT_EQ(stats.all.totalInstructions, 6u);
     EXPECT_EQ(stats.all.sliceInstructions, 3u);
     EXPECT_DOUBLE_EQ(stats.all.slicePercent(), 50.0);
@@ -52,7 +55,8 @@ TEST(ThreadStats, SkipsPseudoRecords)
     std::vector<Record> records(3);
     records[1].kind = RecordKind::SyscallRead;
     std::vector<uint8_t> verdicts = {1, 0, 0};
-    const auto stats = computeThreadStats(records, verdicts);
+    const auto stats =
+        computeThreadStats(sliceFromVerdicts(records, verdicts));
     EXPECT_EQ(stats.all.totalInstructions, 2u);
 }
 
@@ -60,7 +64,8 @@ TEST(ThreadStats, RespectsEndIndex)
 {
     std::vector<Record> records(10);
     std::vector<uint8_t> verdicts(10, 1);
-    const auto stats = computeThreadStats(records, verdicts, {}, 4);
+    const auto stats =
+        computeThreadStats(sliceFromVerdicts(records, verdicts, {}, 4));
     EXPECT_EQ(stats.all.totalInstructions, 4u);
 }
 
@@ -191,8 +196,7 @@ TEST(Categorize, NonSliceInstructionsLandInNamespaceBuckets)
         machine.records(), cfgs, deps, machine.pixelCriteria());
 
     const auto dist = categorizeUnnecessary(
-        machine.records(), result.inSlice, cfgs, machine.symtab(),
-        Categorizer::chromiumDefault());
+        result, cfgs, machine.symtab(), Categorizer::chromiumDefault());
 
     // JS: imm + addi + store + Ret = 4; debug: imm + store + Ret = 3.
     // The two dead Call records belong to the *caller* (toplevel glue),
@@ -222,8 +226,8 @@ TEST(Categorize, TopLevelGlueIsUncategorized)
     const auto cfgs = graph::buildCfgs(machine.records(), machine.symtab());
     std::vector<uint8_t> verdicts(machine.records().size(), 0);
     const auto dist = categorizeUnnecessary(
-        machine.records(), verdicts, cfgs, machine.symtab(),
-        Categorizer::chromiumDefault());
+        sliceFromVerdicts(machine.records(), verdicts, cfgs), cfgs,
+        machine.symtab(), Categorizer::chromiumDefault());
     EXPECT_EQ(dist.totalUnnecessary, 1u);
     EXPECT_EQ(dist.uncategorized, 1u);
     EXPECT_DOUBLE_EQ(dist.coveragePercent(), 0.0);

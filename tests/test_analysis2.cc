@@ -15,6 +15,7 @@
 #include "analysis/report.hh"
 #include "graph/cfg.hh"
 #include "sim/machine.hh"
+#include "tally_oracle.hh"
 
 namespace webslice {
 namespace analysis {
@@ -23,6 +24,7 @@ namespace {
 using sim::Ctx;
 using sim::Machine;
 using sim::TracedScope;
+using oracle::sliceFromVerdicts;
 using sim::Value;
 
 struct TwoFunctionTrace
@@ -30,6 +32,9 @@ struct TwoFunctionTrace
     Machine machine;
     graph::CfgSet cfgs;
     std::vector<uint8_t> verdicts;
+    /** The verdicts as a backward pass over the whole trace reports
+     *  them (totals and tallies). */
+    slicer::SliceResult slice;
 
     TwoFunctionTrace()
     {
@@ -68,15 +73,15 @@ struct TwoFunctionTrace
                 ++marked;
             }
         }
+        slice = sliceFromVerdicts(machine.records(), verdicts, cfgs);
     }
 };
 
 TEST(FunctionStats, MergesByNameAndSortsByVolume)
 {
     TwoFunctionTrace trace;
-    const auto stats = computeFunctionStats(
-        trace.machine.records(), trace.verdicts, trace.cfgs,
-        trace.machine.symtab());
+    const auto stats = computeFunctionStats(trace.slice, trace.cfgs,
+                                            trace.machine.symtab());
 
     ASSERT_GE(stats.size(), 2u);
     EXPECT_EQ(stats[0].name, "v8::hot"); // most instructions first
@@ -93,13 +98,41 @@ TEST(FunctionStats, MergesByNameAndSortsByVolume)
 TEST(FunctionStats, PercentAgainstOwnTotal)
 {
     TwoFunctionTrace trace;
-    const auto stats = computeFunctionStats(
-        trace.machine.records(), trace.verdicts, trace.cfgs,
-        trace.machine.symtab());
+    const auto stats = computeFunctionStats(trace.slice, trace.cfgs,
+                                            trace.machine.symtab());
     for (const auto &row : stats) {
         EXPECT_GE(row.slicePercent(), 0.0);
         EXPECT_LE(row.slicePercent(), 100.0);
     }
+}
+
+TEST(FunctionStats, TiedTotalsRankByName)
+{
+    // Three functions with identical volume, registered out of name
+    // order: the ranking must not depend on hash-map iteration order.
+    Machine machine;
+    const auto tid = machine.addThread("main");
+    const auto c = machine.registerFunction("c::tied");
+    const auto a = machine.registerFunction("a::tied");
+    const auto b = machine.registerFunction("b::tied");
+    Ctx ctx(machine, tid);
+    for (const auto func : {c, a, b}) {
+        TracedScope scope(ctx, func);
+        Value v = ctx.imm(1);
+        (void)v;
+    }
+    const auto cfgs = graph::buildCfgs(machine.records(), machine.symtab());
+    std::vector<uint8_t> verdicts(machine.records().size(), 0);
+    const auto stats = computeFunctionStats(
+        sliceFromVerdicts(machine.records(), verdicts, cfgs), cfgs,
+        machine.symtab());
+
+    std::vector<std::string> tied;
+    for (const auto &row : stats)
+        if (row.name.ends_with("::tied"))
+            tied.push_back(row.name);
+    EXPECT_EQ(tied,
+              (std::vector<std::string>{"a::tied", "b::tied", "c::tied"}));
 }
 
 TEST(Categorize, WindowLimitsTheExamination)
@@ -108,11 +141,11 @@ TEST(Categorize, WindowLimitsTheExamination)
     const auto categorizer = Categorizer::chromiumDefault();
 
     const auto full = categorizeUnnecessary(
-        trace.machine.records(), trace.verdicts, trace.cfgs,
-        trace.machine.symtab(), categorizer);
+        trace.slice, trace.cfgs, trace.machine.symtab(), categorizer);
     const auto windowed = categorizeUnnecessary(
-        trace.machine.records(), trace.verdicts, trace.cfgs,
-        trace.machine.symtab(), categorizer, /*end_index=*/3);
+        sliceFromVerdicts(trace.machine.records(), trace.verdicts,
+                          trace.cfgs, /*end=*/3),
+        trace.cfgs, trace.machine.symtab(), categorizer);
 
     EXPECT_LT(windowed.totalUnnecessary, full.totalUnnecessary);
 }
@@ -149,8 +182,7 @@ TEST(Progress, StrideCoversWholeTrace)
 TEST(Report, RendersAllSections)
 {
     TwoFunctionTrace trace;
-    slicer::SliceResult slice;
-    slice.inSlice = trace.verdicts;
+    slicer::SliceResult slice = trace.slice;
     slice.sliceInstructions = 3;
     slice.instructionsAnalyzed = trace.machine.instructionCount();
 
@@ -172,8 +204,7 @@ TEST(Report, RendersAllSections)
 TEST(Report, TopFunctionsSectionCanBeDisabled)
 {
     TwoFunctionTrace trace;
-    slicer::SliceResult slice;
-    slice.inSlice = trace.verdicts;
+    slicer::SliceResult slice = trace.slice;
     slice.instructionsAnalyzed = trace.machine.instructionCount();
 
     ReportOptions options;

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "analysis/report.hh"
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
 #include "service/client.hh"
@@ -39,6 +41,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/rng.hh"
+#include "support/strings.hh"
 #include "trace/trace_file.hh"
 
 namespace webslice {
@@ -339,7 +342,8 @@ TEST(SliceQuery, DedupKeyIgnoresTimeoutButNotWork)
  * A small multi-threaded program whose artifacts are written to a
  * <prefix> on disk, exactly as webslice-record would: .trc (with block
  * index), .sym, .crit, and a .meta naming the benchmark. `salt` varies
- * the computation so two fixtures are distinct recordings.
+ * the computation so two fixtures are distinct recordings; chain c runs
+ * in function `functions[c % functions.size()]`.
  */
 struct SavedProgram
 {
@@ -348,16 +352,21 @@ struct SavedProgram
     std::vector<uint64_t> buffers;
 
     explicit SavedProgram(const std::string &stem, uint64_t salt = 0,
-                          int chains = 4)
+                          int chains = 4,
+                          std::vector<std::string> functions = {
+                              "svc::chain"})
     {
         prefix = tempPath(stem);
         const auto t0 = machine.addThread("main");
         const auto t1 = machine.addThread("worker");
-        const auto fn = machine.registerFunction("svc::chain");
+        std::vector<trace::FuncId> fns;
+        for (const auto &name : functions)
+            fns.push_back(machine.registerFunction(name));
 
         for (int c = 0; c < chains; ++c)
             buffers.push_back(machine.alloc(64, "buf"));
         for (int c = 0; c < chains; ++c) {
+            const auto fn = fns[c % fns.size()];
             const uint64_t buffer = buffers[c];
             const uint64_t rounds = 2 + (c + salt) % 5;
             machine.post(c % 2 ? t1 : t0,
@@ -634,6 +643,62 @@ TEST(Scheduler, ResultIsBitIdenticalToTheDirectSlicer)
     EXPECT_EQ(result.instructionsAnalyzed, direct.instructionsAnalyzed);
     EXPECT_EQ(result.inSliceFnv1a,
               fnv1a64(direct.inSlice.data(), direct.inSlice.size()));
+}
+
+TEST(Scheduler, CategoriesMatchTheOfflineReport)
+{
+    // The reply's category distribution comes from the same tallies
+    // renderReport prints: same slice, same text.
+    const SavedProgram program(
+        "sched_categories", /*salt=*/3, /*chains=*/8,
+        {"v8::Script::run", "debug::Trace::log", "gfx::Painter::fill",
+         "cc::Tiles::raster", "plainHelper"});
+    SessionCache cache(1ull << 30);
+    Scheduler scheduler(cache, {});
+
+    for (const auto mode : {slicer::CriteriaMode::PixelBuffer,
+                            slicer::CriteriaMode::Syscalls}) {
+        SliceQuery query;
+        query.mode = mode;
+        query.endIndex = program.machine.records().size() * 3 / 4;
+        const auto submitted = scheduler.submit(program.prefix, query);
+        ASSERT_FALSE(submitted.rejected);
+        const QueryResult &result = submitted.job->wait();
+        ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
+
+        slicer::SlicerOptions options;
+        options.mode = mode;
+        options.endIndex = query.endIndex;
+        const auto cfgs = graph::buildCfgs(program.machine.records(),
+                                           program.machine.symtab());
+        const auto slice = program.directSlice(options);
+        ASSERT_EQ(result.inSliceFnv1a,
+                  fnv1a64(slice.inSlice.data(), slice.inSlice.size()));
+        analysis::ReportOptions report_options;
+        report_options.topFunctions = 0;
+        std::ostringstream report;
+        analysis::renderReport(report, {}, slice, cfgs,
+                               program.machine.symtab(), report_options);
+        const std::string text = report.str();
+        const size_t section = text.find("\nunnecessary computations");
+        ASSERT_NE(section, std::string::npos) << text;
+
+        // The same section, rendered from the reply.
+        std::string expected =
+            format("\nunnecessary computations (%.0f%% categorizable):\n",
+                   result.categoryCoveragePercent);
+        size_t shown = 0;
+        for (const auto &[category, share] : result.categoryShares) {
+            if (share < 0.05)
+                continue;
+            expected += format("  %-16s %5.1f%%\n", category.c_str(), share);
+            ++shown;
+        }
+        EXPECT_EQ(text.substr(section), expected);
+        EXPECT_GE(shown, 2u) << text;
+        EXPECT_GT(result.categoryCoveragePercent, 0.0);
+        EXPECT_LT(result.categoryCoveragePercent, 100.0);
+    }
 }
 
 TEST(Scheduler, DuplicateInFlightQueriesShareOneJob)

@@ -51,9 +51,7 @@ struct ShapeRun
         slice = slicer::computeSlice(run.records(), cfgs, deps,
                                      run.machine->pixelCriteria(),
                                      options);
-        stats = analysis::computeThreadStats(
-            run.records(), slice.inSlice, run.threadNames(),
-            options.endIndex);
+        stats = analysis::computeThreadStats(slice, run.threadNames());
     }
 
     double main() const { return stats.perThread[0].slicePercent(); }
@@ -103,13 +101,14 @@ TEST(PaperShapes, MobileRasterizersAreFarBelowDesktop)
 TEST(PaperShapes, JavaScriptDominatesLoadTimeWaste)
 {
     ShapeRun amazon(shrink(workloads::amazonDesktopSpec()));
+    // Load-time waste: the slice (and so its tallies) stops at load
+    // complete.
+    ASSERT_EQ(amazon.slice.analyzedWindowEnd, amazon.run.loadCompleteIndex);
     const auto cfgs = graph::buildCfgs(amazon.run.records(),
                                        amazon.run.machine->symtab());
     const auto dist = analysis::categorizeUnnecessary(
-        amazon.run.records(), amazon.slice.inSlice, cfgs,
-        amazon.run.machine->symtab(),
-        analysis::Categorizer::chromiumDefault(),
-        amazon.run.loadCompleteIndex);
+        amazon.slice, cfgs, amazon.run.machine->symtab(),
+        analysis::Categorizer::chromiumDefault());
 
     const double js = dist.sharePercent("JavaScript");
     for (const auto &category : analysis::Categorizer::reportOrder()) {

@@ -249,15 +249,10 @@ main(int argc, char **argv)
         phaseNotice(progress, "attribution");
         ScopedPhase phase("attribution");
 
-        // The per-record arrays need the records once more for
-        // attribution; the mmap view pages them in without a second
-        // in-memory copy.
-        const trace::MappedTrace mapped(prefix + ".trc");
-        const auto records = mapped.records();
-        const size_t window = std::min(options.endIndex, records.size());
-
-        const auto stats = analysis::computeThreadStats(
-            records, slice.inSlice, meta.threadNames, window);
+        // The backward pass tallied per thread and per function as it
+        // walked; attribution only names, merges and ranks the tallies.
+        const auto stats =
+            analysis::computeThreadStats(slice, meta.threadNames);
         std::fprintf(report, "per thread:\n");
         for (const auto &thread : stats.perThread) {
             if (thread.totalInstructions == 0)
@@ -271,8 +266,7 @@ main(int argc, char **argv)
         }
 
         const auto dist = analysis::categorizeUnnecessary(
-            records, slice.inSlice, cfgs, symtab,
-            analysis::Categorizer::chromiumDefault(), window);
+            slice, cfgs, symtab, analysis::Categorizer::chromiumDefault());
         std::fprintf(report, "\nunnecessary-computation categories (%.0f%% "
                     "categorizable):\n",
                     dist.coveragePercent());
@@ -283,9 +277,8 @@ main(int argc, char **argv)
                 std::fprintf(report, "  %-16s %5.1f%%\n", category.c_str(), share);
         }
 
-        const auto functions = analysis::computeFunctionStats(
-            {records.data(), window}, {slice.inSlice.data(), window}, cfgs,
-            symtab);
+        const auto functions =
+            analysis::computeFunctionStats(slice, cfgs, symtab);
         std::fprintf(report, "\nhottest functions:\n");
         for (size_t i = 0; i < functions.size() && i < top; ++i) {
             std::fprintf(report, "  %-48s %10s instr  %5.1f%% in slice\n",
