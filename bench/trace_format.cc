@@ -8,12 +8,18 @@
  *
  * For one recorded session the bench reports, per format:
  *  - on-disk bytes and the v1:v2 compression ratio (CI asserts >= 4x);
- *  - write (encode) wall time;
+ *  - write (encode) wall time, the median of reps;
  *  - cold full-file decode wall time (loadTrace);
  *  - cold and warm single-record seek latency (loadTraceRange through
  *    the block-decode cache);
  *  - backward-slice wall time from the file (computeSliceFromFile),
- *    with the slice asserted bit-identical across formats.
+ *    the median of reps, with the slice asserted bit-identical across
+ *    formats;
+ *  - v2_write_over_v1 and v2_slice_over_v1, which CI bounds on Maps:
+ *    write and slice-from-file run as `reps` alternating v1/v2 pairs,
+ *    and each ratio is the median of the pairs' v2:v1 ratios, so a
+ *    shift in machine load between the two formats' runs cannot move
+ *    it the way it moves a ratio of two separate best-of times.
  *
  * Results land in BENCH_trace.json (webslice-metrics-v1 schema) for
  * CI's trend tracking.
@@ -65,6 +71,45 @@ bestOf(int reps, Fn &&fn)
     return best;
 }
 
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/** Wall time of one call. */
+template <typename Fn>
+double
+timed(Fn &&fn)
+{
+    const double t0 = bench::nowSeconds();
+    fn();
+    return bench::nowSeconds() - t0;
+}
+
+/**
+ * Runs `reps` alternating pairs of `run(v1)` then `run(v2)`. Stores
+ * each format's median time through `field` and returns the median of
+ * the per-pair v2:v1 ratios.
+ */
+template <typename Fn>
+double
+interleavedRatio(int reps, FormatSample &v1, FormatSample &v2,
+                 double FormatSample::*field, Fn &&run)
+{
+    std::vector<double> t1, t2, ratios;
+    for (int i = 0; i < reps; ++i) {
+        t1.push_back(timed([&] { run(v1); }));
+        t2.push_back(timed([&] { run(v2); }));
+        ratios.push_back(t2.back() / t1.back());
+    }
+    v1.*field = median(t1);
+    v2.*field = median(t2);
+    return median(ratios);
+}
+
 std::string
 fieldsJson(const FormatSample &s)
 {
@@ -89,7 +134,7 @@ main(int argc, char **argv)
 {
     std::string site = "amazon-mobile";
     std::string out_path = "BENCH_trace.json";
-    int reps = 3;
+    int reps = 5;
     for (int a = 1; a < argc; ++a) {
         if (!std::strcmp(argv[a], "--site") && a + 1 < argc) {
             site = argv[++a];
@@ -139,12 +184,12 @@ main(int argc, char **argv)
     FormatSample v2{dir + "bench_trace_v2.trc"};
 
     // ---- write -----------------------------------------------------------
-    v1.writeSeconds = bestOf(reps, [&] {
-        trace::saveTrace(v1.path, records, trace::TraceFormat::V1);
-    });
-    v2.writeSeconds = bestOf(reps, [&] {
-        trace::saveTrace(v2.path, records, trace::TraceFormat::V2);
-    });
+    const double write_over_v1 = interleavedRatio(
+        reps, v1, v2, &FormatSample::writeSeconds, [&](FormatSample &s) {
+            trace::saveTrace(s.path, records,
+                             &s == &v1 ? trace::TraceFormat::V1
+                                       : trace::TraceFormat::V2);
+        });
     const auto digest_v1 = digestFile(v1.path);
     const auto digest_v2 = digestFile(v2.path);
     v1.bytes = digest_v1.bytes;
@@ -179,17 +224,14 @@ main(int argc, char **argv)
     // ---- slice from file -------------------------------------------------
     const slicer::SlicerOptions options =
         bench::windowedOptions(profiled.run);
-    std::vector<slicer::SliceResult> slices;
-    for (FormatSample *s : {&v1, &v2}) {
-        slicer::SliceResult result;
-        s->sliceSeconds = bestOf(reps, [&] {
+    slicer::SliceResult slices[2];
+    const double slice_over_v1 = interleavedRatio(
+        reps, v1, v2, &FormatSample::sliceSeconds, [&](FormatSample &s) {
             trace::TraceDecodeCache::global().clear();
-            result = slicer::computeSliceFromFile(
-                s->path, profiled.cfgs, profiled.deps,
+            slices[&s == &v1 ? 0 : 1] = slicer::computeSliceFromFile(
+                s.path, profiled.cfgs, profiled.deps,
                 profiled.run.machine->pixelCriteria(), options);
         });
-        slices.push_back(std::move(result));
-    }
     const bool identical = slices[0].inSlice == slices[1].inSlice;
     fatal_if(!identical,
              "v1 and v2 slices diverged — the formats are not "
@@ -221,6 +263,9 @@ main(int argc, char **argv)
     table.render(std::cout);
     std::printf("\ncompression ratio %.2fx; slices bit-identical\n",
                 ratio);
+    std::printf("v2 over v1 (median of %d pairs): write %.2fx, slice "
+                "from file %.2fx\n",
+                reps, write_over_v1, slice_over_v1);
 
     const std::vector<std::pair<std::string, std::string>> extras = {
         {"site", "\"" + jsonEscape(site) + "\""},
@@ -230,6 +275,8 @@ main(int argc, char **argv)
         {"v1", fieldsJson(v1)},
         {"v2", fieldsJson(v2)},
         {"compression_ratio", format("%.3f", ratio)},
+        {"v2_write_over_v1", format("%.3f", write_over_v1)},
+        {"v2_slice_over_v1", format("%.3f", slice_over_v1)},
         {"slices_identical", identical ? "true" : "false"},
     };
     writeMetricsReport(out_path, MetricRegistry::global(),

@@ -324,9 +324,9 @@ buildCfgsFromFile(const std::string &path,
     trace::ForwardTraceReader reader(path);
     CfgBuilder builder(symtab);
     builder.reserveRecords(reader.count());
-    Record rec;
-    while (reader.next(rec))
-        builder.feed(rec);
+    for (auto block = reader.nextBlock(); !block.empty();
+         block = reader.nextBlock())
+        builder.feed(block);
     return builder.finish();
 }
 

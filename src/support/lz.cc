@@ -18,26 +18,47 @@ constexpr size_t kMaxOffset = 0xFFFF;
 constexpr unsigned kHashBits = 13;
 
 uint32_t
-hash4(const uint8_t *p)
+load32(const uint8_t *p)
 {
     uint32_t v;
     std::memcpy(&v, p, 4);
-    return (v * 2654435761u) >> (32 - kHashBits);
+    return v;
 }
 
-void
-putLength(size_t len, std::vector<uint8_t> &out)
+uint64_t
+load64(const uint8_t *p)
+{
+    uint64_t v;
+    std::memcpy(&v, p, 8);
+    return v;
+}
+
+uint32_t
+hash4(const uint8_t *p)
+{
+    return (load32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+uint8_t *
+putLength(size_t len, uint8_t *op)
 {
     while (len >= 255) {
-        out.push_back(255);
+        *op++ = 255;
         len -= 255;
     }
-    out.push_back(static_cast<uint8_t>(len));
+    *op++ = static_cast<uint8_t>(len);
+    return op;
 }
 
-void
+/**
+ * Write one sequence at `op`; returns the new write position. A short
+ * literal run is copied as one 16-byte word when `literals` has 16
+ * readable bytes and `op` 16 writable ones (the caller's `wild` flag);
+ * the bytes past the run are overwritten by what follows.
+ */
+uint8_t *
 emitSequence(const uint8_t *literals, size_t literal_len, size_t offset,
-             size_t match_len, std::vector<uint8_t> &out)
+             size_t match_len, uint8_t *op, bool wild)
 {
     const uint8_t lit_nibble =
         static_cast<uint8_t>(literal_len < 15 ? literal_len : 15);
@@ -48,28 +69,76 @@ emitSequence(const uint8_t *literals, size_t literal_len, size_t offset,
         match_nibble =
             static_cast<uint8_t>(match_code < 15 ? match_code : 15);
     }
-    out.push_back(static_cast<uint8_t>((lit_nibble << 4) | match_nibble));
+    *op++ = static_cast<uint8_t>((lit_nibble << 4) | match_nibble);
     if (lit_nibble == 15)
-        putLength(literal_len - 15, out);
-    out.insert(out.end(), literals, literals + literal_len);
+        op = putLength(literal_len - 15, op);
+    if (wild && literal_len <= 16)
+        std::memcpy(op, literals, 16);
+    else if (literal_len)
+        std::memcpy(op, literals, literal_len);
+    op += literal_len;
     if (!match_len)
-        return; // final literal run: no offset, no match extension
-    out.push_back(static_cast<uint8_t>(offset & 0xFF));
-    out.push_back(static_cast<uint8_t>(offset >> 8));
+        return op; // final literal run: no offset, no match extension
+    *op++ = static_cast<uint8_t>(offset & 0xFF);
+    *op++ = static_cast<uint8_t>(offset >> 8);
     if (match_nibble == 15)
-        putLength(match_code - 15, out);
+        op = putLength(match_code - 15, op);
+    return op;
+}
+
+/**
+ * Length of the common prefix of `a` and `b` (a < b), starting at
+ * `len` already-matched bytes, with `b + result` capped at `end`.
+ * Compares a word at a time; the first differing byte is the lowest
+ * set byte of the XOR on a little-endian target.
+ */
+size_t
+extendMatch(const uint8_t *a, const uint8_t *b, size_t len,
+            const uint8_t *end)
+{
+    while (b + len + 8 <= end) {
+        const uint64_t diff = load64(a + len) ^ load64(b + len);
+        if (diff)
+            return len + (static_cast<size_t>(__builtin_ctzll(diff)) >> 3);
+        len += 8;
+    }
+    while (b + len < end && a[len] == b[len])
+        ++len;
+    return len;
 }
 
 } // namespace
 
+size_t
+lzCompressBound(size_t size)
+{
+    // Every match sequence is no longer than the bytes it covers,
+    // except for its literal-length extension (1 per 255 literals);
+    // the final token plus its extension adds the constant.
+    return size + size / 255 + 16;
+}
+
 void
 lzCompress(const uint8_t *src, size_t size, std::vector<uint8_t> &out)
 {
+    const size_t base = out.size();
+    out.resize(base + lzCompressBound(size));
+    out.resize(base + lzCompress(src, size, out.data() + base));
+}
+
+size_t
+lzCompress(const uint8_t *src, size_t size, uint8_t *dst)
+{
     // Final-literals convention: the stream always ends with a
     // match-less token, so empty input encodes as a single zero token.
+    const size_t bound = lzCompressBound(size);
+    uint8_t *const begin = dst;
+    uint8_t *op = begin;
+
     uint32_t table[1u << kHashBits];
     std::memset(table, 0xFF, sizeof(table)); // 0xFFFFFFFF = empty slot
 
+    const uint8_t *const src_end = src + size;
     size_t pos = 0;
     size_t literal_start = 0;
     // Stop matching kMinMatch short of the end so hash4 stays in range.
@@ -78,13 +147,19 @@ lzCompress(const uint8_t *src, size_t size, std::vector<uint8_t> &out)
         const uint32_t h = hash4(src + pos);
         const uint32_t candidate = table[h];
         table[h] = static_cast<uint32_t>(pos);
-        if (candidate != 0xFFFFFFFFu && pos - candidate <= kMaxOffset &&
-            std::memcmp(src + candidate, src + pos, kMinMatch) == 0) {
-            size_t len = kMinMatch;
-            while (pos + len < size && src[candidate + len] == src[pos + len])
-                ++len;
-            emitSequence(src + literal_start, pos - literal_start,
-                         pos - candidate, len, out);
+        // An empty slot (0xFFFFFFFF) lies "ahead" of pos, so the
+        // unsigned distance check rejects it too.
+        if (pos - candidate <= kMaxOffset &&
+            load32(src + candidate) == load32(src + pos)) {
+            const size_t len =
+                extendMatch(src + candidate, src + pos, kMinMatch, src_end);
+            // A wild literal copy reads 16 bytes of input and writes
+            // them after the token and at most one extension byte.
+            const bool wild =
+                size - literal_start >= 16 &&
+                static_cast<size_t>(op - begin) + 18 <= bound;
+            op = emitSequence(src + literal_start, pos - literal_start,
+                              pos - candidate, len, op, wild);
             // Seed the table inside the match so the next search can
             // find overlapping repetitions (cheap, big win on the
             // near-periodic delta columns).
@@ -100,7 +175,9 @@ lzCompress(const uint8_t *src, size_t size, std::vector<uint8_t> &out)
             ++pos;
         }
     }
-    emitSequence(src + literal_start, size - literal_start, 0, 0, out);
+    op = emitSequence(src + literal_start, size - literal_start, 0, 0, op,
+                      false);
+    return static_cast<size_t>(op - begin);
 }
 
 namespace {
@@ -118,6 +195,14 @@ readLength(const uint8_t *&p, const uint8_t *end, size_t &len)
             return true;
     }
 }
+
+/**
+ * Back-reference stride for offsets below 8: the smallest multiple of
+ * the offset that is at least 8. The match is periodic in its offset,
+ * so after its first 8 bytes it can be copied from that stride back in
+ * whole non-overlapping words.
+ */
+constexpr uint8_t kPeriodStride[8] = {0, 8, 8, 9, 8, 10, 12, 14};
 
 } // namespace
 
@@ -138,10 +223,16 @@ lzDecompress(const uint8_t *src, size_t src_size, uint8_t *dst,
         if (literal_len > static_cast<size_t>(src_end - p) ||
             literal_len > dst_size - out)
             return false;
-        // Skip empty runs: dst and p may be null for empty buffers, and
-        // memcpy requires valid pointers even for zero bytes.
-        if (literal_len)
+        if (static_cast<size_t>(src_end - p) >= 16 &&
+            dst_size - out >= 16 && literal_len <= 16) {
+            // Short run with room on both sides: one fixed-size copy;
+            // bytes past the run are overwritten by what follows.
+            std::memcpy(dst + out, p, 16);
+        } else if (literal_len) {
+            // Skip empty runs: dst and p may be null for empty buffers,
+            // and memcpy requires valid pointers even for zero bytes.
             std::memcpy(dst + out, p, literal_len);
+        }
         p += literal_len;
         out += literal_len;
 
@@ -160,13 +251,33 @@ lzDecompress(const uint8_t *src, size_t src_size, uint8_t *dst,
         match_len += kMinMatch;
         if (offset == 0 || offset > out || match_len > dst_size - out)
             return false;
-        // Overlapping copy (offset < match_len) must replay bytes as
-        // they are produced: copy strictly forward.
         const uint8_t *from = dst + out - offset;
         uint8_t *to = dst + out;
-        for (size_t i = 0; i < match_len; ++i)
-            to[i] = from[i];
         out += match_len;
+        if (dst_size - out >= 8) {
+            // Room for an overshoot of up to 7 bytes past the match is
+            // proven, so copy whole words; every word reads bytes at
+            // least 8 behind the one it writes, all already final.
+            uint8_t *const stop = to + match_len;
+            if (offset < 8) {
+                // Replay the first 8 bytes strictly forward, then
+                // continue from a whole period at least 8 back.
+                for (size_t i = 0; i < 8; ++i)
+                    to[i] = from[i];
+                to += 8;
+                from = to - kPeriodStride[offset];
+            }
+            while (to < stop) {
+                std::memcpy(to, from, 8);
+                to += 8;
+                from += 8;
+            }
+        } else {
+            // Overlapping copy (offset < match_len) must replay bytes
+            // as they are produced: copy strictly forward.
+            for (size_t i = 0; i < match_len; ++i)
+                to[i] = from[i];
+        }
     }
 }
 

@@ -32,6 +32,16 @@ namespace webslice {
  */
 void lzCompress(const uint8_t *src, size_t size, std::vector<uint8_t> &out);
 
+/** Largest stream lzCompress can produce for `size` input bytes. */
+size_t lzCompressBound(size_t size);
+
+/**
+ * lzCompress into `dst`, which must have room for
+ * lzCompressBound(size) bytes.
+ * @returns the length of the stream written.
+ */
+size_t lzCompress(const uint8_t *src, size_t size, uint8_t *dst);
+
 /**
  * Decompress a stream produced by lzCompress into exactly `dst_size`
  * bytes at `dst`.

@@ -132,20 +132,84 @@ enum Column
     kColumnCount,
 };
 
-void
-putDelta(uint64_t cur, uint64_t &prev, std::vector<uint8_t> &col)
+/**
+ * Widest encoding of one record's field in each column: a 64-bit
+ * varint for addr, a zigzagged 33-bit delta for pc and aux, a 17-bit
+ * one for tid, and reg + 1 <= 0xFFFF for the register columns.
+ */
+constexpr size_t kColumnWidth[kColumnCount] = {1, 5, 10, 5, 3, 3, 3, 3, 3};
+
+/** Largest column payload `count` records can encode to. */
+size_t
+maxRawBytes(size_t count)
 {
-    putVarint(zigzag(static_cast<int64_t>(cur - prev)), col);
+    size_t bytes = 10 * (kColumnCount + 1); // count + column lengths
+    for (int c = 0; c < kColumnCount; ++c)
+        bytes += kColumnWidth[c] * count;
+    return bytes;
+}
+
+/** Pointer form of putVarint: the caller guarantees the room. */
+inline uint8_t *
+putVarintAt(uint64_t v, uint8_t *p)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = static_cast<uint8_t>(v);
+    return p;
+}
+
+inline uint64_t
+deltaOf(uint64_t cur, uint64_t &prev)
+{
+    const uint64_t z = zigzag(static_cast<int64_t>(cur - prev));
     prev = cur;
+    return z;
+}
+
+/**
+ * getVarint with the one-byte case inline: almost every column value
+ * is a small delta or register number.
+ */
+inline bool
+readVarint(const uint8_t *&p, const uint8_t *end, uint64_t &v)
+{
+    if (p < end && *p < 0x80) {
+        v = *p++;
+        return true;
+    }
+    return getVarint(p, end, v);
 }
 
 } // namespace
 
-uint32_t
+V2BlockEntry
 encodeV2Block(const Record *records, size_t count, V2Checkpoint &state,
-              std::vector<uint8_t> &out)
+              V2EncodeScratch &scratch)
 {
-    std::vector<uint8_t> cols[kColumnCount];
+    V2BlockEntry entry;
+    entry.checkpoint = state;
+    entry.records = static_cast<uint32_t>(count);
+    // Each column gets a region of its worst-case width up front, so
+    // the record loop writes through plain pointers.
+    const size_t max_raw = maxRawBytes(count);
+    if (scratch.raw.size() < max_raw) {
+        scratch.columns.resize(max_raw);
+        scratch.raw.resize(max_raw);
+        scratch.encoded.resize(lzCompressBound(max_raw));
+    }
+    uint8_t *col_begin[kColumnCount];
+    uint8_t *col[kColumnCount];
+    {
+        uint8_t *p = scratch.columns.data();
+        for (int c = 0; c < kColumnCount; ++c) {
+            col_begin[c] = col[c] = p;
+            p += kColumnWidth[c] * count;
+        }
+    }
+
     uint64_t prev_pc = state.prevPc;
     uint64_t prev_addr = state.prevAddr;
     uint64_t prev_aux = state.prevAux;
@@ -156,39 +220,52 @@ encodeV2Block(const Record *records, size_t count, V2Checkpoint &state,
         panic_if(kind > kMaxKind || (rec.flags & ~kAllFlags),
                  "record kind/flags out of encodable range: kind ",
                  unsigned{kind}, " flags ", unsigned{rec.flags});
-        cols[kColKindFlags].push_back(
-            static_cast<uint8_t>(kind | (rec.flags << 4)));
-        putDelta(rec.pc, prev_pc, cols[kColPc]);
-        putDelta(rec.addr, prev_addr, cols[kColAddr]);
-        putDelta(rec.aux, prev_aux, cols[kColAux]);
-        putDelta(rec.tid, prev_tid, cols[kColTid]);
-        putVarint(regToColumn(rec.rr0), cols[kColRr0]);
-        putVarint(regToColumn(rec.rr1), cols[kColRr1]);
-        putVarint(regToColumn(rec.rr2), cols[kColRr2]);
-        putVarint(regToColumn(rec.rw), cols[kColRw]);
+        *col[kColKindFlags]++ =
+            static_cast<uint8_t>(kind | (rec.flags << 4));
+        entry.pseudoRecords += rec.isPseudo();
+        col[kColPc] = putVarintAt(deltaOf(rec.pc, prev_pc), col[kColPc]);
+        col[kColAddr] =
+            putVarintAt(deltaOf(rec.addr, prev_addr), col[kColAddr]);
+        col[kColAux] = putVarintAt(deltaOf(rec.aux, prev_aux), col[kColAux]);
+        col[kColTid] = putVarintAt(deltaOf(rec.tid, prev_tid), col[kColTid]);
+        col[kColRr0] = putVarintAt(regToColumn(rec.rr0), col[kColRr0]);
+        col[kColRr1] = putVarintAt(regToColumn(rec.rr1), col[kColRr1]);
+        col[kColRr2] = putVarintAt(regToColumn(rec.rr2), col[kColRr2]);
+        col[kColRw] = putVarintAt(regToColumn(rec.rw), col[kColRw]);
     }
     state.prevPc = static_cast<uint32_t>(prev_pc);
     state.prevAddr = prev_addr;
     state.prevAux = static_cast<uint32_t>(prev_aux);
     state.prevTid = static_cast<uint16_t>(prev_tid);
 
-    std::vector<uint8_t> raw;
-    raw.reserve(count * 10 + 64);
-    putVarint(count, raw);
-    for (const auto &col : cols) {
-        putVarint(col.size(), raw);
-        raw.insert(raw.end(), col.begin(), col.end());
+    // Payload: varint count, then per column varint length + bytes.
+    uint8_t *p = putVarintAt(count, scratch.raw.data());
+    for (int c = 0; c < kColumnCount; ++c) {
+        const size_t len = static_cast<size_t>(col[c] - col_begin[c]);
+        p = putVarintAt(len, p);
+        if (len)
+            std::memcpy(p, col_begin[c], len);
+        p += len;
     }
-    lzCompress(raw.data(), raw.size(), out);
-    return static_cast<uint32_t>(raw.size());
+    const size_t raw_bytes = static_cast<size_t>(p - scratch.raw.data());
+    entry.instructions = entry.records - entry.pseudoRecords;
+    entry.rawBytes = static_cast<uint32_t>(raw_bytes);
+    entry.encodedBytes = static_cast<uint32_t>(lzCompress(
+        scratch.raw.data(), raw_bytes, scratch.encoded.data()));
+    return entry;
 }
 
 void
 decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
               size_t raw_bytes, size_t expect_records,
-              const V2Checkpoint &checkpoint, std::vector<Record> &out,
+              const V2Checkpoint &checkpoint, Record *out,
               const std::string &context)
 {
+    // The bound keeps a corrupt index from sizing the LZ output.
+    fatal_if(raw_bytes > maxRawBytes(expect_records),
+             "corrupt trace block in ", context, ": index claims ",
+             raw_bytes, " column bytes, more than ", expect_records,
+             " records can encode to");
     std::vector<uint8_t> raw(raw_bytes);
     fatal_if(!lzDecompress(payload, encoded_bytes, raw.data(), raw_bytes),
              "corrupt compressed trace block in ", context,
@@ -196,7 +273,7 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
              " bytes the index claims");
 
     const uint8_t *p = raw.data();
-    const uint8_t *const end = p + raw.size();
+    const uint8_t *const end = p + raw_bytes;
     uint64_t count = 0;
     fatal_if(!getVarint(p, end, count) || count != expect_records,
              "corrupt trace block in ", context, ": payload claims ",
@@ -220,19 +297,18 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
     fatal_if(p != end, "corrupt trace block in ", context, ": ",
              end - p, " trailing payload bytes after the last column");
 
-    out.clear();
-    out.reserve(count);
     uint64_t prev_pc = checkpoint.prevPc;
     uint64_t prev_addr = checkpoint.prevAddr;
     uint64_t prev_aux = checkpoint.prevAux;
     uint64_t prev_tid = checkpoint.prevTid;
+    uint64_t i = 0;
     const auto corrupt_column = [&](int c) {
         fatal_if(true, "corrupt trace block in ", context, ": column ",
-                 c, " is truncated or malformed at record ", out.size());
+                 c, " is truncated or malformed at record ", i);
     };
     const auto delta = [&](int c, uint64_t &prev) {
         uint64_t z = 0;
-        if (!getVarint(col[c], col_end[c], z))
+        if (!readVarint(col[c], col_end[c], z))
             corrupt_column(c);
         prev += static_cast<uint64_t>(unzigzag(z));
         return prev;
@@ -240,12 +316,12 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
     const auto reg = [&](int c) {
         uint64_t v = 0;
         RegId r = kNoReg;
-        if (!getVarint(col[c], col_end[c], v) || !regFromColumn(v, r))
+        if (!readVarint(col[c], col_end[c], v) || !regFromColumn(v, r))
             corrupt_column(c);
         return r;
     };
-    for (uint64_t i = 0; i < count; ++i) {
-        Record rec;
+    for (; i < count; ++i) {
+        Record &rec = out[i];
         if (col[kColKindFlags] >= col_end[kColKindFlags])
             corrupt_column(kColKindFlags);
         const uint8_t kf = *col[kColKindFlags]++;
@@ -272,7 +348,7 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
         rec.rr1 = reg(kColRr1);
         rec.rr2 = reg(kColRr2);
         rec.rw = reg(kColRw);
-        out.push_back(rec);
+        rec.reserved = 0;
     }
     for (int c = 0; c < kColumnCount; ++c) {
         fatal_if(col[c] != col_end[c], "corrupt trace block in ", context,
@@ -282,8 +358,7 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
 
     auto &registry = MetricRegistry::global();
     registry.counter("trace.blocks_decoded").add();
-    registry.counter("trace.bytes_decoded")
-        .add(out.size() * sizeof(Record));
+    registry.counter("trace.bytes_decoded").add(count * sizeof(Record));
 }
 
 // ---- V2TraceFile -------------------------------------------------------
@@ -423,15 +498,15 @@ V2TraceFile::~V2TraceFile()
 }
 
 void
-V2TraceFile::decodeBlock(size_t b, std::vector<Record> &out) const
+V2TraceFile::decodeBlock(size_t b, Record *out) const
 {
     panic_if(b >= index_.blocks.size(), "v2 block ", b, " out of range");
     const V2BlockEntry &entry = index_.blocks[b];
     std::vector<uint8_t> payload(entry.encodedBytes);
 #ifdef WEBSLICE_HAVE_PREAD
-    const ssize_t got = ::pread(fd_, payload.data(), payload.size(),
+    const ssize_t got = ::pread(fd_, payload.data(), entry.encodedBytes,
                                 static_cast<off_t>(entry.fileOffset));
-    fatal_if(got != static_cast<ssize_t>(payload.size()),
+    fatal_if(got != static_cast<ssize_t>(entry.encodedBytes),
              "cannot read block ", b, " from trace file ", path_,
              " at offset ", entry.fileOffset);
 #else
@@ -440,15 +515,16 @@ V2TraceFile::decodeBlock(size_t b, std::vector<Record> &out) const
         fatal_if(std::fseek(file_, static_cast<long>(entry.fileOffset),
                             SEEK_SET) != 0,
                  "cannot seek in trace file ", path_);
-        fatal_if(std::fread(payload.data(), payload.size(), 1, file_) !=
-                 1, "cannot read block ", b, " from trace file ", path_,
+        fatal_if(std::fread(payload.data(), entry.encodedBytes, 1,
+                            file_) != 1,
+                 "cannot read block ", b, " from trace file ", path_,
                  " at offset ", entry.fileOffset);
     }
 #endif
     const std::string context = path_ + " (block " +
                                 std::to_string(b) + " at offset " +
                                 std::to_string(entry.fileOffset) + ")";
-    decodeV2Block(payload.data(), payload.size(), entry.rawBytes,
+    decodeV2Block(payload.data(), entry.encodedBytes, entry.rawBytes,
                   entry.records, entry.checkpoint, out, context);
 }
 
@@ -479,28 +555,23 @@ TraceDecodeCache::budget() const
 std::shared_ptr<const std::vector<Record>>
 TraceDecodeCache::acquire(const V2TraceFile &file, size_t b)
 {
-    const Key key{file.cacheKey(), b};
-    auto &registry = MetricRegistry::global();
+    if (auto hit = find(file, b))
+        return hit;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            ++counters_.hits;
-            registry.counter("trace.block_cache_hits").add();
-            lru_.erase(it->second.lruIt);
-            lru_.push_front(key);
-            it->second.lruIt = lru_.begin();
-            return it->second.block;
-        }
         ++counters_.misses;
-        registry.counter("trace.block_cache_misses").add();
     }
+    MetricRegistry::global().counter("trace.block_cache_misses").add();
 
     // Decode outside the lock: a concurrent miss on the same block may
     // decode twice, but never blocks every other reader on the decode.
-    auto block = std::make_shared<std::vector<Record>>();
-    file.decodeBlock(b, *block);
+    panic_if(b >= file.index().blocks.size(), "v2 block ", b,
+             " out of range");
+    auto block = std::make_shared<std::vector<Record>>(
+        file.index().blocks[b].records);
+    file.decodeBlock(b, block->data());
 
+    const Key key{file.cacheKey(), b};
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end())
@@ -514,6 +585,22 @@ TraceDecodeCache::acquire(const V2TraceFile &file, size_t b)
     entries_.emplace(key, std::move(entry));
     evictLocked();
     return block;
+}
+
+std::shared_ptr<const std::vector<Record>>
+TraceDecodeCache::find(const V2TraceFile &file, size_t b)
+{
+    const Key key{file.cacheKey(), b};
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+        return nullptr;
+    ++counters_.hits;
+    MetricRegistry::global().counter("trace.block_cache_hits").add();
+    lru_.erase(it->second.lruIt);
+    lru_.push_front(key);
+    it->second.lruIt = lru_.begin();
+    return it->second.block;
 }
 
 void
@@ -564,37 +651,18 @@ V2WriterBackend::V2WriterBackend(std::FILE *file, std::string path)
 }
 
 void
-V2WriterBackend::append(const Record &rec)
-{
-    block_.push_back(rec);
-    if (block_.size() >= kTraceIndexBlockRecords)
-        flushBlock();
-}
-
-void
 V2WriterBackend::flushBlock()
 {
     if (block_.empty())
         return;
-    V2BlockEntry entry;
-    entry.fileOffset = sizeof(V2Header);
-    for (const V2BlockEntry &prev : index_.blocks)
-        entry.fileOffset += prev.encodedBytes;
-    entry.checkpoint = state_;
-    entry.records = static_cast<uint32_t>(block_.size());
-    for (const Record &rec : block_) {
-        if (rec.isPseudo())
-            ++entry.pseudoRecords;
-        else
-            ++entry.instructions;
-    }
-    encoded_.clear();
-    entry.rawBytes =
-        encodeV2Block(block_.data(), block_.size(), state_, encoded_);
-    entry.encodedBytes = static_cast<uint32_t>(encoded_.size());
-    fatal_if(std::fwrite(encoded_.data(), 1, encoded_.size(), file_) !=
-             encoded_.size(), "short write to trace file ", path_);
+    V2BlockEntry entry =
+        encodeV2Block(block_.data(), block_.size(), state_, scratch_);
+    entry.fileOffset = nextOffset_;
+    fatal_if(std::fwrite(scratch_.encoded.data(), 1, entry.encodedBytes,
+                         file_) != entry.encodedBytes,
+             "short write to trace file ", path_);
     written_ += block_.size();
+    nextOffset_ += entry.encodedBytes;
     index_.blocks.push_back(entry);
     block_.clear();
 }
@@ -603,10 +671,6 @@ void
 V2WriterBackend::finish()
 {
     flushBlock();
-    uint64_t index_offset = sizeof(V2Header);
-    for (const V2BlockEntry &entry : index_.blocks)
-        index_offset += entry.encodedBytes;
-
     V2IndexHeader index_header;
     index_header.blockRecords = index_.blockRecords;
     index_header.blockCount = index_.blocks.size();
@@ -621,7 +685,7 @@ V2WriterBackend::finish()
 
     V2Header header;
     header.recordCount = written_;
-    header.indexOffset = index_offset;
+    header.indexOffset = nextOffset_;
     fatal_if(std::fseek(file_, 0, SEEK_SET) != 0,
              "cannot seek in trace file ", path_);
     fatal_if(std::fwrite(&header, sizeof(header), 1, file_) != 1,

@@ -26,7 +26,11 @@
  * Decoded blocks are cached in a process-wide, byte-budgeted LRU
  * (TraceDecodeCache) shared by ranged reads, the streaming readers, and
  * the service (which folds the budget into --cache-bytes), so repeat
- * touches of a block within the budget do not decode it again.
+ * touches of a block within the budget do not decode it again. The
+ * forward reader caches what it decodes and hands out the cached blocks
+ * themselves; later passes (the reverse reader, MappedTrace, loadTrace)
+ * take cached blocks and decode the rest straight into their own
+ * buffer without caching them.
  *
  * File layout:
  *   V2Header  { "WEBTRC2\0", recordCount, indexOffset }
@@ -48,6 +52,7 @@
 #include <vector>
 
 #include "trace/record.hh"
+#include "trace/trace_file.hh"
 
 namespace webslice {
 namespace trace {
@@ -147,25 +152,35 @@ bool getVarint(const uint8_t *&p, const uint8_t *end, uint64_t &v);
 
 // ---- block codec -------------------------------------------------------
 
-/**
- * Column-encode and LZ-compress `records`, appending the compressed
- * payload to `out`. `state` carries the delta columns' running values
- * across consecutive blocks: its value on entry is the block's
- * checkpoint, and it is advanced past the block's last record.
- * @returns the raw (pre-LZ) payload size for the index entry.
- */
-uint32_t encodeV2Block(const Record *records, size_t count,
-                       V2Checkpoint &state, std::vector<uint8_t> &out);
+/** Buffers an encoder reuses from block to block. */
+struct V2EncodeScratch
+{
+    std::vector<uint8_t> columns; ///< Worst-case-width column regions.
+    std::vector<uint8_t> raw;     ///< The assembled pre-LZ payload.
+    std::vector<uint8_t> encoded; ///< The compressed payload.
+};
 
 /**
- * Decode one compressed block payload. Fatal (with `context` naming
- * the file and block) on any malformation: LZ stream corruption,
- * column overrun or underrun, or a record-count mismatch.
+ * Column-encode and LZ-compress `records` into the first
+ * `encodedBytes` bytes of `scratch.encoded`. `state` carries the delta
+ * columns' running values across consecutive blocks: its value on
+ * entry is the block's checkpoint, and it is advanced past the block's
+ * last record.
+ * @returns the block's index entry, every field but fileOffset filled.
+ */
+V2BlockEntry encodeV2Block(const Record *records, size_t count,
+                           V2Checkpoint &state, V2EncodeScratch &scratch);
+
+/**
+ * Decode one compressed block payload into exactly `expect_records`
+ * records at `out`. Fatal (with `context` naming the file and block)
+ * on any malformation: LZ stream corruption, column overrun or
+ * underrun, an out-of-range field, or a record-count mismatch.
  */
 void decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
                    size_t raw_bytes, size_t expect_records,
-                   const V2Checkpoint &checkpoint,
-                   std::vector<Record> &out, const std::string &context);
+                   const V2Checkpoint &checkpoint, Record *out,
+                   const std::string &context);
 
 // ---- v2 file access ----------------------------------------------------
 
@@ -203,11 +218,11 @@ class V2TraceFile
     }
 
     /**
-     * Decode block `b` into `out` (replacing its contents). Reads and
-     * validates the compressed payload; fatal with file + block + byte
-     * offset context on corruption.
+     * Decode block `b` into its `index().blocks[b].records` records at
+     * `out`. Reads and validates the compressed payload; fatal with
+     * file + block + byte offset context on corruption.
      */
-    void decodeBlock(size_t b, std::vector<Record> &out) const;
+    void decodeBlock(size_t b, Record *out) const;
 
     /** Identity for the decode cache: device/inode/size/mtime folded. */
     uint64_t cacheKey() const { return cacheKey_; }
@@ -244,6 +259,18 @@ class TraceDecodeCache
      */
     std::shared_ptr<const std::vector<Record>>
     acquire(const V2TraceFile &file, size_t b);
+
+    /**
+     * `file`'s block `b` if it is cached, else null. Never decodes and
+     * never inserts: a reader that keeps the whole trace itself
+     * (MappedTrace) or is the last pass over it (the reverse reader)
+     * takes what is already here and decodes the rest into its own
+     * buffer, rather than filling the cache with blocks nothing will
+     * read from it. A hit counts and refreshes the entry like
+     * acquire's; an absent block is not a miss.
+     */
+    std::shared_ptr<const std::vector<Record>>
+    find(const V2TraceFile &file, size_t b);
 
     /** Drop all cached blocks (tests / budget reconfiguration). */
     void clear();
@@ -310,7 +337,13 @@ class V2WriterBackend
     V2WriterBackend(std::FILE *file, std::string path);
 
     /** Buffer one record; encodes and writes a block when full. */
-    void append(const Record &rec);
+    void
+    append(const Record &rec)
+    {
+        block_.push_back(rec);
+        if (block_.size() >= kTraceIndexBlockRecords)
+            flushBlock();
+    }
 
     /** Flush the final partial block, write the index, patch header. */
     void finish();
@@ -321,10 +354,11 @@ class V2WriterBackend
     std::FILE *file_;
     std::string path_;
     std::vector<Record> block_;
-    std::vector<uint8_t> encoded_;
+    V2EncodeScratch scratch_;
     V2Checkpoint state_;
     V2Index index_;
-    uint64_t written_ = 0; ///< Records written to disk so far.
+    uint64_t written_ = 0;    ///< Records written to disk so far.
+    uint64_t nextOffset_ = sizeof(V2Header); ///< Next block's offset.
 };
 
 } // namespace trace

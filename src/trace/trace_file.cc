@@ -1,5 +1,6 @@
 #include "trace/trace_file.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -192,6 +193,30 @@ readHeader(std::FILE *file, const std::string &path,
     return header;
 }
 
+/**
+ * Every record of `v2`. Blocks an earlier pass left in the decode cache
+ * are copied; the rest decode straight into the result and are not
+ * cached, since the caller keeps the whole trace already and a cached
+ * second copy of every block would double its footprint.
+ */
+std::vector<Record>
+readWholeV2(const V2TraceFile &v2)
+{
+    auto &cache = TraceDecodeCache::global();
+    std::vector<Record> records;
+    records.reserve(static_cast<size_t>(v2.count()));
+    for (size_t b = 0; b < v2.index().blocks.size(); ++b) {
+        if (const auto cached = cache.find(v2, b)) {
+            records.insert(records.end(), cached->begin(), cached->end());
+        } else {
+            const size_t at = records.size();
+            records.resize(at + v2.index().blocks[b].records);
+            v2.decodeBlock(b, records.data() + at);
+        }
+    }
+    return records;
+}
+
 /** Publish one reader's prefetch effectiveness to the global registry. */
 void
 publishReaderStats(uint64_t hits, uint64_t misses, uint64_t sync_reads)
@@ -370,17 +395,7 @@ std::vector<Record>
 loadTrace(const std::string &path)
 {
     if (sniffTraceFormat(path) == TraceFormat::V2) {
-        // One-shot whole-file read: decode blocks in order, bypassing
-        // the decode cache (nothing would be revisited).
-        const V2TraceFile v2(path);
-        std::vector<Record> records;
-        records.reserve(static_cast<size_t>(v2.count()));
-        std::vector<Record> block;
-        for (size_t b = 0; b < v2.index().blocks.size(); ++b) {
-            v2.decodeBlock(b, block);
-            records.insert(records.end(), block.begin(), block.end());
-        }
-        return records;
+        return readWholeV2(V2TraceFile(path));
     }
     std::FILE *file = std::fopen(path.c_str(), "rb");
     fatal_if(!file, "cannot open trace file ", path);
@@ -487,17 +502,11 @@ saveTrace(const std::string &path, const std::vector<Record> &records,
 MappedTrace::MappedTrace(const std::string &path)
 {
     if (sniffTraceFormat(path) == TraceFormat::V2) {
-        // Columnar traces cannot be viewed zero-copy; decode the whole
-        // file into the owned buffer (mapped() stays false) and carry
-        // the index across in its footer shape.
+        // Columnar traces cannot be viewed zero-copy: fill the owned
+        // buffer (mapped() stays false) and carry the index across in
+        // its footer shape.
         const V2TraceFile v2(path);
-        fallback_.reserve(static_cast<size_t>(v2.count()));
-        std::vector<Record> block;
-        for (size_t b = 0; b < v2.index().blocks.size(); ++b) {
-            v2.decodeBlock(b, block);
-            fallback_.insert(fallback_.end(), block.begin(),
-                             block.end());
-        }
+        fallback_ = readWholeV2(v2);
         count_ = fallback_.size();
         records_ = fallback_.data();
         index_.blockRecords = v2.index().blockRecords;
@@ -601,17 +610,25 @@ ForwardTraceReader::ForwardTraceReader(const std::string &path,
     }
 }
 
-size_t
-ForwardTraceReader::fillForwardV2(std::vector<Record> &buf,
-                                  uint64_t remaining)
+void
+ForwardTraceReader::fillChunk(ReaderChunk &chunk, uint64_t remaining)
 {
     const uint64_t next = count_ - remaining;
-    const size_t b = v2_->blockOf(next);
-    const auto block = TraceDecodeCache::global().acquire(*v2_, b);
-    const uint64_t block_start = b * v2_->index().blockRecords;
-    const size_t lo = static_cast<size_t>(next - block_start);
-    buf.assign(block->begin() + lo, block->end());
-    return buf.size();
+    if (v2_) {
+        const size_t b = v2_->blockOf(next);
+        chunk.pinned = TraceDecodeCache::global().acquire(*v2_, b);
+        const uint64_t block_start = b * v2_->index().blockRecords;
+        chunk.view = std::span<const Record>(*chunk.pinned)
+                         .subspan(static_cast<size_t>(next - block_start));
+        return;
+    }
+    const size_t this_block = static_cast<size_t>(
+        std::min<uint64_t>(blockRecords_, remaining));
+    chunk.owned.resize(this_block);
+    fatal_if(std::fread(chunk.owned.data(), sizeof(Record), this_block,
+                        file_) != this_block,
+             "truncated trace file during forward read");
+    chunk.view = chunk.owned;
 }
 
 ForwardTraceReader::~ForwardTraceReader()
@@ -632,7 +649,7 @@ ForwardTraceReader::~ForwardTraceReader()
 void
 ForwardTraceReader::ioLoop()
 {
-    std::vector<Record> buf;
+    ReaderChunk buf;
     while (true) {
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -642,21 +659,11 @@ ForwardTraceReader::ioLoop()
         }
         if (ioRemaining_ == 0)
             return; // whole file handed over
-        size_t this_block;
-        if (v2_) {
-            this_block = fillForwardV2(buf, ioRemaining_);
-        } else {
-            this_block = static_cast<size_t>(
-                std::min<uint64_t>(blockRecords_, ioRemaining_));
-            buf.resize(this_block);
-            fatal_if(std::fread(buf.data(), sizeof(Record), this_block,
-                                file_) != this_block,
-                     "truncated trace file during forward read");
-        }
-        ioRemaining_ -= this_block;
+        fillChunk(buf, ioRemaining_);
+        ioRemaining_ -= buf.view.size();
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            ready_.swap(buf);
+            std::swap(ready_, buf);
             readyValid_ = true;
         }
         cv_.notify_all();
@@ -664,36 +671,23 @@ ForwardTraceReader::ioLoop()
 }
 
 void
-ForwardTraceReader::takePrefetched()
+ForwardTraceReader::refill()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (readyValid_)
-        ++prefetchHits_; // block was already waiting; no stall
-    else
-        ++prefetchMisses_;
-    cv_.wait(lock, [this] { return readyValid_; });
-    block_.swap(ready_);
-    readyValid_ = false;
-    blockPos_ = 0;
-    lock.unlock();
-    cv_.notify_all(); // wake the IO thread to fetch the next block
-}
-
-void
-ForwardTraceReader::fillBlockSync()
-{
-    ++syncReads_;
-    if (v2_) {
-        fillForwardV2(block_, count_ - consumed_);
-        blockPos_ = 0;
-        return;
+    if (prefetch_) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (readyValid_)
+            ++prefetchHits_; // block was already waiting; no stall
+        else
+            ++prefetchMisses_;
+        cv_.wait(lock, [this] { return readyValid_; });
+        std::swap(block_, ready_);
+        readyValid_ = false;
+        lock.unlock();
+        cv_.notify_all(); // wake the IO thread to fetch the next block
+    } else {
+        ++syncReads_;
+        fillChunk(block_, count_ - consumed_);
     }
-    const size_t this_block = static_cast<size_t>(
-        std::min<uint64_t>(blockRecords_, count_ - consumed_));
-    block_.resize(this_block);
-    fatal_if(std::fread(block_.data(), sizeof(Record), this_block,
-                        file_) != this_block,
-             "truncated trace file during forward read");
     blockPos_ = 0;
 }
 
@@ -702,15 +696,24 @@ ForwardTraceReader::next(Record &out)
 {
     if (consumed_ == count_)
         return false;
-    if (blockPos_ == block_.size()) {
-        if (prefetch_)
-            takePrefetched();
-        else
-            fillBlockSync();
-    }
-    out = block_[blockPos_++];
+    if (blockPos_ == block_.view.size())
+        refill();
+    out = block_.view[blockPos_++];
     ++consumed_;
     return true;
+}
+
+std::span<const Record>
+ForwardTraceReader::nextBlock()
+{
+    if (consumed_ == count_)
+        return {};
+    if (blockPos_ == block_.view.size())
+        refill();
+    const auto rest = block_.view.subspan(blockPos_);
+    blockPos_ = block_.view.size();
+    consumed_ += rest.size();
+    return rest;
 }
 
 // ---- ReverseTraceReader -----------------------------------------------------
@@ -754,24 +757,46 @@ ReverseTraceReader::~ReverseTraceReader()
     publishReaderStats(prefetchHits_, prefetchMisses_, syncReads_);
 }
 
-size_t
-ReverseTraceReader::fillReverseV2(std::vector<Record> &buf,
-                                  uint64_t remaining)
+void
+ReverseTraceReader::fillChunk(ReaderChunk &chunk, uint64_t remaining)
 {
-    // `remaining` is one past the highest unread record; the chunk is
-    // the part of its block below that.
-    const size_t b = v2_->blockOf(remaining - 1);
-    const auto block = TraceDecodeCache::global().acquire(*v2_, b);
-    const uint64_t block_start = b * v2_->index().blockRecords;
-    buf.assign(block->begin(),
-               block->begin() + static_cast<size_t>(remaining - block_start));
-    return buf.size();
+    // `remaining` is one past the highest unread record; the chunk
+    // ends there.
+    if (v2_) {
+        // The backward walk is the last full pass over a trace (it
+        // follows the forward pass): it takes the blocks that pass
+        // cached, and decodes any other into this reader's recycled
+        // buffer instead of caching a block nothing will read again.
+        const size_t b = v2_->blockOf(remaining - 1);
+        const size_t count = static_cast<size_t>(
+            remaining - b * v2_->index().blockRecords);
+        chunk.pinned = TraceDecodeCache::global().find(*v2_, b);
+        if (!chunk.pinned) {
+            chunk.owned.resize(v2_->index().blocks[b].records);
+            v2_->decodeBlock(b, chunk.owned.data());
+        }
+        const auto &block = chunk.pinned ? *chunk.pinned : chunk.owned;
+        chunk.view = std::span<const Record>(block).first(count);
+        return;
+    }
+    const size_t this_block = static_cast<size_t>(
+        std::min<uint64_t>(blockRecords_, remaining));
+    const uint64_t first_index = remaining - this_block;
+    const long offset = static_cast<long>(
+        sizeof(TraceHeader) + first_index * sizeof(Record));
+    fatal_if(std::fseek(file_, offset, SEEK_SET) != 0,
+             "cannot seek in trace file");
+    chunk.owned.resize(this_block);
+    fatal_if(std::fread(chunk.owned.data(), sizeof(Record), this_block,
+                        file_) != this_block,
+             "truncated trace file during reverse read");
+    chunk.view = chunk.owned;
 }
 
 void
 ReverseTraceReader::ioLoop()
 {
-    std::vector<Record> buf;
+    ReaderChunk buf;
     while (true) {
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -781,26 +806,11 @@ ReverseTraceReader::ioLoop()
         }
         if (ioRemaining_ == 0)
             return; // whole file handed over
-        size_t this_block;
-        if (v2_) {
-            this_block = fillReverseV2(buf, ioRemaining_);
-        } else {
-            this_block = static_cast<size_t>(
-                std::min<uint64_t>(blockRecords_, ioRemaining_));
-            const uint64_t first_index = ioRemaining_ - this_block;
-            const long offset = static_cast<long>(
-                sizeof(TraceHeader) + first_index * sizeof(Record));
-            fatal_if(std::fseek(file_, offset, SEEK_SET) != 0,
-                     "cannot seek in trace file");
-            buf.resize(this_block);
-            fatal_if(std::fread(buf.data(), sizeof(Record), this_block,
-                                file_) != this_block,
-                     "truncated trace file during reverse read");
-        }
-        ioRemaining_ -= this_block;
+        fillChunk(buf, ioRemaining_);
+        ioRemaining_ -= buf.view.size();
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            ready_.swap(buf);
+            std::swap(ready_, buf);
             readyValid_ = true;
         }
         cv_.notify_all();
@@ -808,41 +818,24 @@ ReverseTraceReader::ioLoop()
 }
 
 void
-ReverseTraceReader::takePrefetched()
+ReverseTraceReader::refill()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (readyValid_)
-        ++prefetchHits_;
-    else
-        ++prefetchMisses_;
-    cv_.wait(lock, [this] { return readyValid_; });
-    block_.swap(ready_);
-    readyValid_ = false;
-    blockPos_ = block_.size();
-    lock.unlock();
-    cv_.notify_all(); // wake the IO thread to fetch the preceding block
-}
-
-void
-ReverseTraceReader::loadPrecedingBlock()
-{
-    ++syncReads_;
-    if (v2_) {
-        blockPos_ = fillReverseV2(block_, remaining_);
-        return;
+    if (prefetch_) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (readyValid_)
+            ++prefetchHits_;
+        else
+            ++prefetchMisses_;
+        cv_.wait(lock, [this] { return readyValid_; });
+        std::swap(block_, ready_);
+        readyValid_ = false;
+        lock.unlock();
+        cv_.notify_all(); // wake the IO thread to fetch the preceding block
+    } else {
+        ++syncReads_;
+        fillChunk(block_, remaining_);
     }
-    const uint64_t already_read = remaining_;
-    const size_t this_block = static_cast<size_t>(
-        std::min<uint64_t>(blockRecords_, already_read));
-    const uint64_t first_index = already_read - this_block;
-    const long offset = static_cast<long>(
-        sizeof(TraceHeader) + first_index * sizeof(Record));
-    fatal_if(std::fseek(file_, offset, SEEK_SET) != 0,
-             "cannot seek in trace file");
-    block_.resize(this_block);
-    fatal_if(std::fread(block_.data(), sizeof(Record), this_block, file_) !=
-             this_block, "truncated trace file during reverse read");
-    blockPos_ = this_block;
+    blockPos_ = block_.view.size();
 }
 
 bool
@@ -850,13 +843,9 @@ ReverseTraceReader::next(Record &out)
 {
     if (remaining_ == 0)
         return false;
-    if (blockPos_ == 0) {
-        if (prefetch_)
-            takePrefetched();
-        else
-            loadPrecedingBlock();
-    }
-    out = block_[--blockPos_];
+    if (blockPos_ == 0)
+        refill();
+    out = block_.view[--blockPos_];
     --remaining_;
     return true;
 }

@@ -163,6 +163,9 @@ TraceBlockIndex loadTraceBlockIndex(const std::string &path);
  * Zero-copy view of a whole trace file via mmap. When mmap is
  * unavailable (or fails) the file is read into an owned buffer instead,
  * so records() is always valid; mapped() reports which path was taken.
+ * A v2 file always takes the owned buffer: blocks already in the
+ * decode cache are copied, the rest decoded into it without being
+ * cached, so a block an earlier pass decoded is not decoded again.
  */
 class MappedTrace
 {
@@ -204,6 +207,18 @@ void saveTrace(const std::string &path, const std::vector<Record> &records,
                TraceFormat format = TraceFormat::V1);
 
 /**
+ * One block a streaming reader hands out: records in the reader's own
+ * buffer (v1 reads, and v2 blocks the reverse reader decodes itself),
+ * or a decode-cache block it pins rather than copies.
+ */
+struct ReaderChunk
+{
+    std::vector<Record> owned;
+    std::shared_ptr<const std::vector<Record>> pinned;
+    std::span<const Record> view; ///< Into owned or *pinned.
+};
+
+/**
  * Streams a trace file's records first to last in blocks, for forward
  * passes over traces too large to hold in RAM. With prefetch enabled
  * (the default) a background thread double-buffers the reads so disk
@@ -225,21 +240,29 @@ class ForwardTraceReader
     /** Yield the next record; false at end of trace. */
     bool next(Record &out);
 
+    /**
+     * Yield every not-yet-read record of the current block at once, in
+     * file order; empty at end of trace. The span stays valid until the
+     * next call to next() or nextBlock().
+     */
+    std::span<const Record> nextBlock();
+
   private:
-    void fillBlockSync();
-    void takePrefetched();
+    /** Make the next block current (prefetched or read now). */
+    void refill();
     void ioLoop();
 
-    /** v2: copy the next in-order chunk (one file block) into `buf`,
-     *  given `remaining` records not yet fetched; returns the chunk. */
-    size_t fillForwardV2(std::vector<Record> &buf, uint64_t remaining);
+    /** Fill `chunk` with the next in-order records, given `remaining`
+     *  not yet fetched: the rest of one file block for v2, up to
+     *  blockRecords_ records for v1. */
+    void fillChunk(ReaderChunk &chunk, uint64_t remaining);
 
     std::FILE *file_ = nullptr;
     std::unique_ptr<V2TraceFile> v2_;
     size_t blockRecords_;
     uint64_t count_ = 0;
     uint64_t consumed_ = 0;
-    std::vector<Record> block_;
+    ReaderChunk block_;
     size_t blockPos_ = 0;
 
     // Prefetch machinery: the IO thread owns file_ after construction and
@@ -248,7 +271,7 @@ class ForwardTraceReader
     std::thread io_;
     std::mutex mutex_;
     std::condition_variable cv_;
-    std::vector<Record> ready_;
+    ReaderChunk ready_;
     bool readyValid_ = false;
     bool stop_ = false;
     uint64_t ioRemaining_ = 0;
@@ -291,21 +314,21 @@ class ReverseTraceReader
     bool next(Record &out);
 
   private:
-    void loadPrecedingBlock();
-    void takePrefetched();
+    /** Make the preceding block current (prefetched or read now). */
+    void refill();
     void ioLoop();
 
-    /** v2: copy the preceding chunk (the unread part of one file
-     *  block) into `buf`, given `remaining` unfetched records; returns
-     *  the chunk size. */
-    size_t fillReverseV2(std::vector<Record> &buf, uint64_t remaining);
+    /** Fill `chunk` with the records just below `remaining`, the count
+     *  not yet fetched: the unread part of one file block for v2, up
+     *  to blockRecords_ records for v1. */
+    void fillChunk(ReaderChunk &chunk, uint64_t remaining);
 
     std::FILE *file_ = nullptr;
     std::unique_ptr<V2TraceFile> v2_;
     size_t blockRecords_;
     uint64_t count_ = 0;
     uint64_t remaining_ = 0;
-    std::vector<Record> block_;
+    ReaderChunk block_;
     size_t blockPos_ = 0; ///< Records still unread within block_.
 
     // Prefetch machinery (see ForwardTraceReader).
@@ -313,7 +336,7 @@ class ReverseTraceReader
     std::thread io_;
     std::mutex mutex_;
     std::condition_variable cv_;
-    std::vector<Record> ready_;
+    ReaderChunk ready_;
     bool readyValid_ = false;
     bool stop_ = false;
     uint64_t ioRemaining_ = 0; ///< Records the IO thread still has to read.

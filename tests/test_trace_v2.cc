@@ -18,6 +18,8 @@
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
+#include "scenario/run.hh"
+#include "scenario/scenario.hh"
 #include "sim/machine.hh"
 #include "sim/syscalls.hh"
 #include "slicer/slicer.hh"
@@ -28,6 +30,10 @@
 #include "trace/criteria.hh"
 #include "trace/trace_file.hh"
 #include "trace/value_log.hh"
+
+#ifndef WEBSLICE_SOURCE_DIR
+#error "tests/CMakeLists.txt must define WEBSLICE_SOURCE_DIR"
+#endif
 
 namespace webslice {
 namespace trace {
@@ -160,6 +166,267 @@ TEST(LzCodec, RejectsTruncationAndWrongSize)
     std::vector<uint8_t> short_dst(payload.size() - 1);
     EXPECT_FALSE(lzDecompress(compressed.data(), compressed.size(),
                               short_dst.data(), short_dst.size()));
+}
+
+/**
+ * Hand-built LZ stream: one sequence per call, in the codec's format,
+ * so the tests can aim at exact offsets, lengths and positions.
+ */
+struct LzStream
+{
+    std::vector<uint8_t> bytes;
+
+    void
+    length(size_t len)
+    {
+        while (len >= 255) {
+            bytes.push_back(255);
+            len -= 255;
+        }
+        bytes.push_back(static_cast<uint8_t>(len));
+    }
+
+    /** Literals, then a match of `match_len` (>= 4) at `offset`. */
+    void
+    sequence(const std::vector<uint8_t> &literals, size_t offset,
+             size_t match_len)
+    {
+        const size_t code = match_len - 4;
+        bytes.push_back(static_cast<uint8_t>(
+            (std::min<size_t>(literals.size(), 15) << 4) |
+            std::min<size_t>(code, 15)));
+        if (literals.size() >= 15)
+            length(literals.size() - 15);
+        bytes.insert(bytes.end(), literals.begin(), literals.end());
+        bytes.push_back(static_cast<uint8_t>(offset & 0xFF));
+        bytes.push_back(static_cast<uint8_t>(offset >> 8));
+        if (code >= 15)
+            length(code - 15);
+    }
+
+    /** The match-less final token and its literals. */
+    void
+    finish(const std::vector<uint8_t> &literals)
+    {
+        bytes.push_back(static_cast<uint8_t>(
+            std::min<size_t>(literals.size(), 15) << 4));
+        if (literals.size() >= 15)
+            length(literals.size() - 15);
+        bytes.insert(bytes.end(), literals.begin(), literals.end());
+    }
+};
+
+/** Byte-at-a-time reference of what a sequence appends to `out`. */
+void
+replay(std::vector<uint8_t> &out, const std::vector<uint8_t> &literals,
+       size_t offset, size_t match_len)
+{
+    out.insert(out.end(), literals.begin(), literals.end());
+    for (size_t i = 0; i < match_len; ++i)
+        out.push_back(out[out.size() - offset]);
+}
+
+std::vector<uint8_t>
+bytesFrom(size_t n, uint8_t seed)
+{
+    std::vector<uint8_t> out(n);
+    for (size_t i = 0; i < n; ++i)
+        out[i] = static_cast<uint8_t>(seed + 37 * i + (i >> 3));
+    return out;
+}
+
+/** Decode `stream` to exactly expect.size() bytes and compare. */
+void
+expectDecodes(const LzStream &stream, const std::vector<uint8_t> &expect,
+              const std::string &what)
+{
+    std::vector<uint8_t> got(expect.size());
+    ASSERT_TRUE(lzDecompress(stream.bytes.data(), stream.bytes.size(),
+                             got.data(), got.size()))
+        << what;
+    ASSERT_EQ(got, expect) << what;
+    // Every proper prefix of the stream is a truncation.
+    for (size_t n = 0; n < stream.bytes.size(); ++n)
+        ASSERT_FALSE(lzDecompress(stream.bytes.data(), n, got.data(),
+                                  got.size()))
+            << what << ", truncated to " << n << " bytes";
+}
+
+TEST(LzCodec, OverlappingMatchesAtShortAndWordOffsets)
+{
+    // Offsets 1-7 replay a period shorter than a word; 8-16 copy whole
+    // words that overlap the bytes they write. Each match is followed
+    // by enough literals that the word-copy path has its room.
+    for (size_t offset = 1; offset <= 16; ++offset) {
+        for (const size_t match_len :
+             {4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100}) {
+            LzStream stream;
+            std::vector<uint8_t> expect;
+            const auto seed = bytesFrom(offset, static_cast<uint8_t>(offset));
+            stream.sequence(seed, offset, match_len);
+            replay(expect, seed, offset, match_len);
+            const auto tail = bytesFrom(24, 3);
+            stream.finish(tail);
+            expect.insert(expect.end(), tail.begin(), tail.end());
+            expectDecodes(stream, expect,
+                          "offset " + std::to_string(offset) + " length " +
+                              std::to_string(match_len));
+        }
+    }
+}
+
+TEST(LzCodec, MatchesEndingAtAndNearTheDestinationEnd)
+{
+    // A match ends 0..12 bytes before dst_size: the last few leave no
+    // room for a word copy's overshoot and must take the exact path.
+    for (size_t offset : {1, 3, 8, 13}) {
+        for (size_t trailing = 0; trailing <= 12; ++trailing) {
+            LzStream stream;
+            std::vector<uint8_t> expect;
+            const auto seed = bytesFrom(16, 7);
+            stream.sequence(seed, offset, 21);
+            replay(expect, seed, offset, 21);
+            const auto tail = bytesFrom(trailing, 9);
+            stream.finish(tail);
+            expect.insert(expect.end(), tail.begin(), tail.end());
+            expectDecodes(stream, expect,
+                          "offset " + std::to_string(offset) +
+                              ", trailing " + std::to_string(trailing));
+            // One byte short of the destination: never a silent fit.
+            std::vector<uint8_t> short_dst(expect.size() - 1);
+            EXPECT_FALSE(lzDecompress(stream.bytes.data(),
+                                      stream.bytes.size(),
+                                      short_dst.data(), short_dst.size()));
+        }
+    }
+}
+
+TEST(LzCodec, LiteralRunsEndingNearTheStreamEnd)
+{
+    // Literal runs that end within 16 bytes of the stream's end cannot
+    // be copied as one 16-byte word; the final run, and a run followed
+    // only by its match's offset and the final token, both check that.
+    for (size_t run = 0; run <= 40; ++run) {
+        {
+            LzStream stream;
+            const auto literals = bytesFrom(run, 11);
+            stream.finish(literals);
+            expectDecodes(stream, literals,
+                          "final run " + std::to_string(run));
+        }
+        {
+            LzStream stream;
+            std::vector<uint8_t> expect;
+            const auto literals = bytesFrom(run + 1, 5);
+            stream.sequence(literals, 1, 4);
+            replay(expect, literals, 1, 4);
+            stream.finish({});
+            expectDecodes(stream, expect,
+                          "run " + std::to_string(run + 1) +
+                              " before a closing match");
+        }
+    }
+}
+
+TEST(LzCodec, LengthsAtTheExtensionBoundaries)
+{
+    // The 4-bit nibble saturates at 15, then one extension byte covers
+    // up to 15 + 254 and a 255 byte continues into a second one.
+    for (const size_t literal_len :
+         {0, 14, 15, 16, 268, 269, 270, 271, 524, 525, 526}) {
+        for (const size_t match_code :
+             {0, 14, 15, 16, 268, 269, 270, 271, 524, 525}) {
+            const size_t match_len = match_code + 4;
+            LzStream stream;
+            std::vector<uint8_t> expect;
+            const auto literals =
+                bytesFrom(std::max<size_t>(literal_len, 1), 1);
+            stream.sequence(literals, 1, match_len);
+            replay(expect, literals, 1, match_len);
+            const auto tail = bytesFrom(literal_len, 2);
+            stream.finish(tail);
+            expect.insert(expect.end(), tail.begin(), tail.end());
+            std::vector<uint8_t> got(expect.size());
+            ASSERT_TRUE(lzDecompress(stream.bytes.data(),
+                                     stream.bytes.size(), got.data(),
+                                     got.size()))
+                << "literals " << literal_len << " match " << match_len;
+            ASSERT_EQ(got, expect);
+        }
+    }
+    // The compressor emits the same boundaries: runs of incompressible
+    // bytes and of one repeated byte, sized around each boundary.
+    std::mt19937_64 prng(11);
+    for (const size_t n : {14, 15, 16, 19, 20, 268, 269, 270, 271, 273,
+                           274, 275, 524, 525, 526, 529}) {
+        std::vector<uint8_t> noise(n), run(n, 0x77);
+        for (auto &b : noise)
+            b = static_cast<uint8_t>(prng());
+        for (const auto *payload : {&noise, &run}) {
+            std::vector<uint8_t> compressed;
+            lzCompress(payload->data(), payload->size(), compressed);
+            EXPECT_LE(compressed.size(), lzCompressBound(payload->size()));
+            std::vector<uint8_t> decoded(payload->size());
+            ASSERT_TRUE(lzDecompress(compressed.data(), compressed.size(),
+                                     decoded.data(), decoded.size()));
+            EXPECT_EQ(decoded, *payload) << "size " << n;
+        }
+    }
+}
+
+TEST(LzCodec, EveryTruncationOfACompressedStreamFails)
+{
+    std::vector<uint8_t> payload;
+    std::mt19937_64 prng(5);
+    for (size_t i = 0; i < 3000; ++i)
+        payload.push_back(prng() % 4 ? static_cast<uint8_t>(i % 23)
+                                     : static_cast<uint8_t>(prng()));
+    std::vector<uint8_t> compressed;
+    lzCompress(payload.data(), payload.size(), compressed);
+    std::vector<uint8_t> decoded(payload.size());
+    for (size_t n = 0; n < compressed.size(); ++n)
+        ASSERT_FALSE(lzDecompress(compressed.data(), n, decoded.data(),
+                                  decoded.size()))
+            << "truncated to " << n << " of " << compressed.size();
+    ASSERT_TRUE(lzDecompress(compressed.data(), compressed.size(),
+                             decoded.data(), decoded.size()));
+    EXPECT_EQ(decoded, payload);
+}
+
+// ---- golden bytes ------------------------------------------------------------
+
+uint64_t
+fileFnv(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(TraceV2, GoldenBytesOfACheckedInScenario)
+{
+    // The encoder's output is part of the file format: the same records
+    // must always encode to the same bytes. The constant is the FNV-1a
+    // of this recording as the encoder wrote it before its kernels were
+    // rewritten; any change to the column layout or the LZ parse
+    // (hash, greedy matching, table seeding) moves it.
+    constexpr uint64_t kGoldenFnv = 0x5b5a2efc791b5b97ull;
+    constexpr uint64_t kGoldenBytes = 3499343;
+    const auto run = scenario::runScenario(scenario::parseScenarioFile(
+        std::string(WEBSLICE_SOURCE_DIR) + "/scenarios/amazon_mobile.scn"));
+
+    // Record by record, as webslice-scenario does.
+    const std::string path = tempPath("golden.trc");
+    {
+        TraceWriter writer(path, /*block_index=*/true, TraceFormat::V2);
+        for (const auto &rec : run.records())
+            writer.append(rec);
+    }
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    EXPECT_EQ(static_cast<uint64_t>(in.tellg()), kGoldenBytes);
+    EXPECT_EQ(fileFnv(path), kGoldenFnv);
+    std::remove(path.c_str());
 }
 
 // ---- v2 write + whole-file load --------------------------------------------
@@ -508,6 +775,126 @@ TEST_F(BigV2Trace, DecodeCacheEvictsUnderTinyBudget)
     cache.clear();
 }
 
+/** A multi-block v2 recording of a machine run, with its symbols. */
+struct BigV2Program
+{
+    Machine machine;
+    std::string path = tempPath("v2_program.trc");
+
+    BigV2Program()
+    {
+        const auto tid = machine.addThread("main");
+        const auto fn = machine.registerFunction("big::work");
+        const uint64_t heap = machine.alloc(64, "heap");
+        const uint64_t pixels = machine.alloc(16, "tile");
+        machine.post(tid, [&](Ctx &ctx) {
+            TracedScope scope(ctx, fn);
+            for (size_t i = 0; i < (1 << 16) + 4000; ++i) {
+                Value v = ctx.imm(i & 0xFF);
+                ctx.store(heap + 8 * (i % 8), 4, v);
+            }
+            Value color = ctx.load(heap, 4);
+            ctx.store(pixels, 4, color);
+            const MemRange ranges[] = {{pixels, 16}};
+            ctx.marker(ranges);
+        });
+        machine.run();
+        saveTrace(path, machine.records(), TraceFormat::V2);
+    }
+
+    ~BigV2Program() { std::remove(path.c_str()); }
+};
+
+TEST(TraceDecodeCacheContract, MappedTraceReusesTheForwardPassBlocks)
+{
+    // The forward pass leaves every block in the cache; a MappedTrace
+    // of the same file afterwards copies them and decodes none.
+    const BigV2Program program;
+    auto &cache = TraceDecodeCache::global();
+    cache.clear();
+    const auto cfgs =
+        graph::buildCfgsFromFile(program.path, program.machine.symtab());
+    EXPECT_EQ(cfgs.funcOf.size(), program.machine.records().size());
+    const auto entries = cache.stats().entries;
+    ASSERT_GE(entries, 2u);
+
+    const uint64_t decoded = counterValue("trace.blocks_decoded");
+    const MappedTrace mapped(program.path);
+    EXPECT_EQ(counterValue("trace.blocks_decoded"), decoded);
+    EXPECT_EQ(cache.stats().entries, entries);
+    expectSameRecords(program.machine.records(),
+                      {mapped.records().begin(), mapped.records().end()});
+    cache.clear();
+}
+
+TEST(TraceDecodeCacheContract, MappedTraceOfAnUncachedFileInsertsNothing)
+{
+    // A MappedTrace holds the whole trace itself; caching its blocks
+    // as well would hold every record twice.
+    const BigV2Program program;
+    auto &cache = TraceDecodeCache::global();
+    cache.clear();
+    const auto before = cache.stats();
+    const uint64_t decoded = counterValue("trace.blocks_decoded");
+    const MappedTrace mapped(program.path);
+    EXPECT_EQ(cache.stats().entries, before.entries);
+    EXPECT_EQ(cache.stats().bytes, before.bytes);
+    EXPECT_EQ(counterValue("trace.blocks_decoded"),
+              decoded + mapped.blockIndex().blockCount());
+    expectSameRecords(program.machine.records(),
+                      {mapped.records().begin(), mapped.records().end()});
+}
+
+TEST(TraceDecodeCacheContract, ReverseReaderTakesCachedBlocksOnly)
+{
+    // The backward walk follows the forward pass: it decodes nothing
+    // the forward pass cached, and caches nothing it had to decode.
+    const BigV2Program program;
+    const auto &records = program.machine.records();
+    auto &cache = TraceDecodeCache::global();
+    for (const bool forward_first : {false, true}) {
+        cache.clear();
+        if (forward_first)
+            (void)graph::buildCfgsFromFile(program.path,
+                                           program.machine.symtab());
+        const auto entries = cache.stats().entries;
+        const uint64_t decoded = counterValue("trace.blocks_decoded");
+        ReverseTraceReader reader(program.path);
+        Record rec;
+        size_t i = records.size();
+        while (reader.next(rec)) {
+            --i;
+            expectSameRecord(records[i], rec, i);
+        }
+        EXPECT_EQ(i, 0u);
+        EXPECT_EQ(cache.stats().entries, entries);
+        const uint64_t blocks = loadTraceBlockIndex(program.path).blockCount();
+        EXPECT_EQ(counterValue("trace.blocks_decoded") - decoded,
+                  forward_first ? 0u : blocks);
+    }
+    cache.clear();
+}
+
+TEST(TraceDecodeCacheContract, ForwardReaderHandsOutBlocksWhole)
+{
+    // nextBlock() yields each block's unread records in one span; the
+    // spans tile the trace in order.
+    const BigV2Program program;
+    const auto &records = program.machine.records();
+    for (const bool prefetch : {false, true}) {
+        ForwardTraceReader forward(program.path, 1 << 16, prefetch);
+        Record first;
+        ASSERT_TRUE(forward.next(first)); // part of block 0 is read
+        std::vector<Record> seen{first};
+        for (auto block = forward.nextBlock(); !block.empty();
+             block = forward.nextBlock()) {
+            EXPECT_LE(block.size(), kTraceIndexBlockRecords);
+            seen.insert(seen.end(), block.begin(), block.end());
+        }
+        expectSameRecords(records, seen);
+    }
+}
+
 // ---- corruption is loud ----------------------------------------------------
 
 void
@@ -596,6 +983,66 @@ TEST_F(TraceV2Death, CorruptIndexGeometryIsFatal)
 TEST_F(TraceV2Death, RangeBoundsAreChecked)
 {
     EXPECT_DEATH(loadTraceRange(path, records.size(), 1), "out of bounds");
+}
+
+/**
+ * Write a one-block v2 file around a given compressed block payload,
+ * with an index entry that matches it in every field the file check
+ * validates, so only the payload's own decode can fail.
+ */
+void
+writeOneBlockV2(const std::string &path, const std::vector<uint8_t> &payload,
+                uint32_t raw_bytes, uint32_t records)
+{
+    V2Header header;
+    header.recordCount = records;
+    header.indexOffset = sizeof(V2Header) + payload.size();
+    V2IndexHeader index_header;
+    index_header.blockRecords = kTraceIndexBlockRecords;
+    index_header.blockCount = 1;
+    V2BlockEntry entry;
+    entry.fileOffset = sizeof(V2Header);
+    entry.encodedBytes = static_cast<uint32_t>(payload.size());
+    entry.rawBytes = raw_bytes;
+    entry.records = records;
+    entry.instructions = records;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(&header), sizeof(header));
+    out.write(reinterpret_cast<const char *>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
+    out.write(reinterpret_cast<const char *>(&index_header),
+              sizeof(index_header));
+    out.write(reinterpret_cast<const char *>(&entry), sizeof(entry));
+}
+
+TEST_F(TraceV2Death, MatchOffsetBeyondOutputIsFatalWithContext)
+{
+    // Plenty of room on both sides, so the sequence would take the
+    // word-copy fast path, but its offset reaches before the block.
+    LzStream stream;
+    stream.sequence(bytesFrom(12, 1), 13, 16);
+    stream.finish(bytesFrom(40, 2));
+    const uint32_t raw_bytes = 12 + 16 + 40;
+    writeOneBlockV2(path, stream.bytes, raw_bytes, 1);
+    EXPECT_DEATH(loadTrace(path),
+                 "corrupt compressed trace block in .*block 0 at offset");
+}
+
+TEST_F(TraceV2Death, VarintOverrunningItsColumnIsFatalWithContext)
+{
+    // One record whose pc column holds a lone continuation byte: the
+    // varint runs off its column into the address column's byte.
+    std::vector<uint8_t> raw = {1};              // record count
+    raw.insert(raw.end(), {1, 0x00});            // kind/flags
+    raw.insert(raw.end(), {1, 0x80});            // pc: truncated varint
+    for (int c = 0; c < 7; ++c)
+        raw.insert(raw.end(), {1, 0x01});        // addr .. rw
+    std::vector<uint8_t> payload;
+    lzCompress(raw.data(), raw.size(), payload);
+    writeOneBlockV2(path, payload, static_cast<uint32_t>(raw.size()), 1);
+    EXPECT_DEATH(loadTrace(path),
+                 "corrupt trace block in .*block 0 at offset .*column 1 "
+                 "is truncated or malformed at record 0");
 }
 
 // ---- slice bit-identity across formats -------------------------------------
