@@ -9,6 +9,7 @@
 #define WEBSLICE_BENCH_BENCH_UTIL_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,7 @@ struct ProfiledRun
     double forwardSeconds = 0.0;
     double backwardSeconds = 0.0;
 
-    const std::vector<trace::Record> &records() const
+    std::span<const trace::Record> records() const
     {
         return run.records();
     }

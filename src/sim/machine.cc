@@ -1,5 +1,8 @@
 #include "sim/machine.hh"
 
+#include <cstdlib>
+#include <new>
+
 #include "support/logging.hh"
 
 namespace webslice {
@@ -32,9 +35,49 @@ Value::release()
     }
 }
 
+// ---- RecordBuffer ----------------------------------------------------------
+
+RecordBuffer::RecordBuffer(RecordBuffer &&other) noexcept
+    : data_(other.data_), size_(other.size_), capacity_(other.capacity_)
+{
+    other.data_ = nullptr;
+    other.size_ = other.capacity_ = 0;
+}
+
+RecordBuffer &
+RecordBuffer::operator=(RecordBuffer &&other) noexcept
+{
+    if (this != &other) {
+        std::free(data_);
+        data_ = other.data_;
+        size_ = other.size_;
+        capacity_ = other.capacity_;
+        other.data_ = nullptr;
+        other.size_ = other.capacity_ = 0;
+    }
+    return *this;
+}
+
+RecordBuffer::~RecordBuffer()
+{
+    std::free(data_);
+}
+
+void
+RecordBuffer::reserve(size_t capacity)
+{
+    if (capacity <= capacity_)
+        return;
+    void *grown = std::realloc(data_, capacity * sizeof(trace::Record));
+    if (!grown)
+        throw std::bad_alloc();
+    data_ = static_cast<trace::Record *>(grown);
+    capacity_ = capacity;
+}
+
 // ---- Machine ---------------------------------------------------------------
 
-Machine::Machine(MachineConfig config) : config_(config)
+Machine::Machine(MachineConfig config) : config_(config), sites_(1024)
 {
     records_.reserve(1 << 20);
 }
@@ -67,10 +110,10 @@ Machine::thread(trace::ThreadId tid)
 trace::FuncId
 Machine::registerFunction(std::string qualified_name)
 {
-    const trace::Pc entry = nextPc_;
-    nextPc_ += 4;
-    const trace::Pc ret = nextPc_;
-    nextPc_ += 4;
+    // The symbol table owns both pcs from the start: the entry through
+    // addFunction, the ret through the assignPc below.
+    const trace::Pc entry = allocPc(/*owned=*/true);
+    const trace::Pc ret = allocPc(/*owned=*/true);
     const trace::FuncId id =
         symtab_.addFunction(entry, std::move(qualified_name));
     panic_if(id != funcRetPc_.size(), "function id sequence broken");
@@ -160,17 +203,64 @@ Machine::freeReg(trace::ThreadId tid, trace::RegId reg)
     thread(tid).freeRegs.push_back(reg);
 }
 
+namespace {
+
+size_t
+siteHash(const char *file, uint32_t line, uint32_t column)
+{
+    uint64_t h = reinterpret_cast<uintptr_t>(file);
+    h ^= (static_cast<uint64_t>(line) << 32) | column;
+    return static_cast<size_t>((h * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+} // namespace
+
+trace::Pc
+Machine::allocPc(bool owned)
+{
+    const trace::Pc pc = nextPc_;
+    nextPc_ += 4;
+    owned_.push_back(owned ? 1 : 0);
+    return pc;
+}
+
 trace::Pc
 Machine::sitePc(const std::source_location &loc)
 {
-    const SiteKey key{loc.file_name(), loc.line(), loc.column()};
-    auto it = sites_.find(key);
-    if (it != sites_.end())
-        return it->second;
-    const trace::Pc pc = nextPc_;
-    nextPc_ += 4;
-    sites_.emplace(key, pc);
-    return pc;
+    const char *const file = loc.file_name();
+    const uint32_t line = loc.line();
+    const uint32_t column = loc.column();
+    const size_t mask = sites_.size() - 1;
+    for (size_t i = siteHash(file, line, column) & mask;;
+         i = (i + 1) & mask) {
+        SiteSlot &slot = sites_[i];
+        if (slot.file == file && slot.line == line && slot.column == column)
+            return slot.pc;
+        if (!slot.file) {
+            // First sighting: pcs follow first-use order.
+            const trace::Pc pc = allocPc(/*owned=*/false);
+            slot = SiteSlot{file, line, column, pc};
+            if (2 * ++siteCount_ > sites_.size())
+                growSiteTable();
+            return pc;
+        }
+    }
+}
+
+void
+Machine::growSiteTable()
+{
+    std::vector<SiteSlot> old(2 * sites_.size());
+    old.swap(sites_);
+    const size_t mask = sites_.size() - 1;
+    for (const SiteSlot &slot : old) {
+        if (!slot.file)
+            continue;
+        size_t i = siteHash(slot.file, slot.line, slot.column) & mask;
+        while (sites_[i].file)
+            i = (i + 1) & mask;
+        sites_[i] = slot;
+    }
 }
 
 void
@@ -179,11 +269,20 @@ Machine::emit(Record rec)
     panic_if(records_.size() >= config_.maxRecords,
              "trace exceeded the configured record cap");
     Thread &t = thread(rec.tid);
-    if (!t.funcStack.empty())
+    // First owner wins in the symbol table, so only a pc's first
+    // sighting under a function needs to reach it.
+    uint8_t &owned = owned_[(rec.pc - kFirstPc) >> 2];
+    if (!owned && !t.funcStack.empty()) {
+        owned = 1;
         symtab_.assignPc(rec.pc, t.funcStack.back());
+    }
     if (!rec.isPseudo()) {
         ++instructionCount_;
-        t.timeline.add(clock_, 1.0);
+        if (clock_ >= t.bucketEnd) {
+            t.bucket = t.timeline.bucketFor(clock_);
+            t.bucketEnd = (t.bucket + 1) * t.timeline.bucketWidth();
+        }
+        t.timeline.addToBucket(t.bucket, 1.0);
         ++clock_;
     }
     records_.push_back(rec);

@@ -33,6 +33,7 @@
 #include <source_location>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -111,6 +112,47 @@ class Value
     trace::ThreadId tid_ = 0;
     trace::RegId reg_ = trace::kNoReg;
     uint64_t concrete_ = 0;
+};
+
+/**
+ * Append-only record storage that grows with realloc. glibc serves
+ * blocks this large with mmap and grows them with mremap, so growth
+ * neither copies the records nor faults their pages in a second time,
+ * as a doubling std::vector does.
+ */
+class RecordBuffer
+{
+  public:
+    static_assert(std::is_trivially_copyable_v<trace::Record>,
+                  "records are moved by realloc");
+
+    RecordBuffer() = default;
+    RecordBuffer(RecordBuffer &&other) noexcept;
+    RecordBuffer &operator=(RecordBuffer &&other) noexcept;
+    RecordBuffer(const RecordBuffer &) = delete;
+    RecordBuffer &operator=(const RecordBuffer &) = delete;
+    ~RecordBuffer();
+
+    /** Grow the capacity to at least `capacity` records. */
+    void reserve(size_t capacity);
+
+    void
+    push_back(const trace::Record &rec)
+    {
+        if (size_ == capacity_)
+            reserve(capacity_ ? 2 * capacity_ : 1);
+        data_[size_++] = rec;
+    }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    std::span<const trace::Record> span() const { return {data_, size_}; }
+
+  private:
+    trace::Record *data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
 };
 
 /** A unit of work executed on one simulated thread. */
@@ -321,7 +363,7 @@ class Machine
 
     // ---- outputs ---------------------------------------------------------
 
-    const std::vector<trace::Record> &records() const { return records_; }
+    std::span<const trace::Record> records() const { return records_.span(); }
     trace::SymbolTable &symtab() { return symtab_; }
     const trace::SymbolTable &symtab() const { return symtab_; }
     trace::CriteriaSet &pixelCriteria() { return pixelCriteria_; }
@@ -359,6 +401,11 @@ class Machine
         trace::RegId nextReg = 0;
         std::vector<trace::FuncId> funcStack;
         TimeSeries timeline;
+        /** The timeline bucket this thread last counted into, and the
+         *  clock at which it ends: emit() divides only when the clock
+         *  crosses it. */
+        size_t bucket = 0;
+        uint64_t bucketEnd = 0;
     };
 
     struct DelayedTask
@@ -385,6 +432,13 @@ class Machine
     /** Stable static pc for a source site. */
     trace::Pc sitePc(const std::source_location &loc);
 
+    /** Hand out the next static pc; `owned` when the symbol table
+     *  already has its owner. */
+    trace::Pc allocPc(bool owned);
+
+    /** Double the site table and reinsert every site. */
+    void growSiteTable();
+
     /** Append a record; advances the clock for executed instructions. */
     void emit(trace::Record rec);
 
@@ -401,33 +455,29 @@ class Machine
     SimAllocator allocator_;
     std::vector<Thread> threads_;
 
-    // Site -> pc. Keyed by (file pointer, line, column): file_name()
-    // returns a stable pointer per translation unit.
-    struct SiteKey
+    // Site -> pc in one open-addressing table (linear probing, at most
+    // half full; file == nullptr marks an empty slot). Keyed by (file
+    // pointer, line, column): file_name() returns a stable pointer per
+    // translation unit.
+    struct SiteSlot
     {
-        const char *file;
-        uint32_t line;
-        uint32_t column;
-
-        bool operator==(const SiteKey &) const = default;
+        const char *file = nullptr;
+        uint32_t line = 0;
+        uint32_t column = 0;
+        trace::Pc pc = 0;
     };
 
-    struct SiteKeyHash
-    {
-        size_t
-        operator()(const SiteKey &k) const
-        {
-            size_t h = std::hash<const void *>()(k.file);
-            h = h * 1000003u + k.line;
-            h = h * 1000003u + k.column;
-            return h;
-        }
-    };
+    static constexpr trace::Pc kFirstPc = 0x1000;
 
-    std::unordered_map<SiteKey, trace::Pc, SiteKeyHash> sites_;
-    trace::Pc nextPc_ = 0x1000;
+    std::vector<SiteSlot> sites_;
+    size_t siteCount_ = 0;
+    trace::Pc nextPc_ = kFirstPc;
 
-    std::vector<trace::Record> records_;
+    // Per pc (dense from kFirstPc in steps of 4): nonzero once the
+    // symbol table holds its owner, so emit() asks it only once.
+    std::vector<uint8_t> owned_;
+
+    RecordBuffer records_;
     std::unique_ptr<trace::ValueLog> valueLog_;
     uint64_t instructionCount_ = 0;
     uint64_t clock_ = 0;

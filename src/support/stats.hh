@@ -67,11 +67,26 @@ class TimeSeries
     void
     add(uint64_t position, double value)
     {
+        addToBucket(bucketFor(position), value);
+    }
+
+    /** Index of the bucket covering the position; grows the series to
+     *  include it. */
+    size_t
+    bucketFor(uint64_t position)
+    {
         const size_t idx = position / bucketWidth_;
         if (idx >= sums_.size()) {
             sums_.resize(idx + 1, 0.0);
             counts_.resize(idx + 1, 0);
         }
+        return idx;
+    }
+
+    /** Accumulate a value into a bucket bucketFor() returned. */
+    void
+    addToBucket(size_t idx, double value)
+    {
         sums_[idx] += value;
         counts_[idx] += 1;
     }

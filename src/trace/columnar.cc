@@ -1,5 +1,6 @@
 #include "trace/columnar.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -139,11 +140,14 @@ enum Column
  */
 constexpr size_t kColumnWidth[kColumnCount] = {1, 5, 10, 5, 3, 3, 3, 3, 3};
 
+/** Room for the payload's varint count and column lengths. */
+constexpr size_t kPayloadHeaderBytes = 10 * (kColumnCount + 1);
+
 /** Largest column payload `count` records can encode to. */
 size_t
 maxRawBytes(size_t count)
 {
-    size_t bytes = 10 * (kColumnCount + 1); // count + column lengths
+    size_t bytes = kPayloadHeaderBytes;
     for (int c = 0; c < kColumnCount; ++c)
         bytes += kColumnWidth[c] * count;
     return bytes;
@@ -185,6 +189,19 @@ readVarint(const uint8_t *&p, const uint8_t *end, uint64_t &v)
 
 } // namespace
 
+void
+V2EncodeScratch::reserve(size_t count)
+{
+    if (count <= capacity && payload)
+        return;
+    const size_t max_raw = maxRawBytes(count);
+    // new[] without () leaves the bytes untouched: a page costs memory
+    // only once an encoded block reaches it.
+    payload.reset(new uint8_t[max_raw]);
+    encoded.reset(new uint8_t[lzCompressBound(max_raw)]);
+    capacity = count;
+}
+
 V2BlockEntry
 encodeV2Block(const Record *records, size_t count, V2Checkpoint &state,
               V2EncodeScratch &scratch)
@@ -192,18 +209,14 @@ encodeV2Block(const Record *records, size_t count, V2Checkpoint &state,
     V2BlockEntry entry;
     entry.checkpoint = state;
     entry.records = static_cast<uint32_t>(count);
-    // Each column gets a region of its worst-case width up front, so
-    // the record loop writes through plain pointers.
-    const size_t max_raw = maxRawBytes(count);
-    if (scratch.raw.size() < max_raw) {
-        scratch.columns.resize(max_raw);
-        scratch.raw.resize(max_raw);
-        scratch.encoded.resize(lzCompressBound(max_raw));
-    }
+    // Each column gets a region of its worst-case width up front, past
+    // room for the payload header, so the record loop writes through
+    // plain pointers.
+    scratch.reserve(count);
     uint8_t *col_begin[kColumnCount];
     uint8_t *col[kColumnCount];
     {
-        uint8_t *p = scratch.columns.data();
+        uint8_t *p = scratch.payload.get() + kPayloadHeaderBytes;
         for (int c = 0; c < kColumnCount; ++c) {
             col_begin[c] = col[c] = p;
             p += kColumnWidth[c] * count;
@@ -238,20 +251,24 @@ encodeV2Block(const Record *records, size_t count, V2Checkpoint &state,
     state.prevAux = static_cast<uint32_t>(prev_aux);
     state.prevTid = static_cast<uint16_t>(prev_tid);
 
-    // Payload: varint count, then per column varint length + bytes.
-    uint8_t *p = putVarintAt(count, scratch.raw.data());
+    // Payload: varint count, then per column varint length + bytes,
+    // compacted in place. A column never moves up: the header room
+    // covers every length varint, and the columns before it take no
+    // more than their worst-case regions.
+    uint8_t *const payload = scratch.payload.get();
+    uint8_t *p = putVarintAt(count, payload);
     for (int c = 0; c < kColumnCount; ++c) {
         const size_t len = static_cast<size_t>(col[c] - col_begin[c]);
         p = putVarintAt(len, p);
         if (len)
-            std::memcpy(p, col_begin[c], len);
+            std::memmove(p, col_begin[c], len);
         p += len;
     }
-    const size_t raw_bytes = static_cast<size_t>(p - scratch.raw.data());
+    const size_t raw_bytes = static_cast<size_t>(p - payload);
     entry.instructions = entry.records - entry.pseudoRecords;
     entry.rawBytes = static_cast<uint32_t>(raw_bytes);
-    entry.encodedBytes = static_cast<uint32_t>(lzCompress(
-        scratch.raw.data(), raw_bytes, scratch.encoded.data()));
+    entry.encodedBytes = static_cast<uint32_t>(
+        lzCompress(payload, raw_bytes, scratch.encoded.get()));
     return entry;
 }
 
@@ -641,36 +658,139 @@ TraceDecodeCache::stats() const
 // ---- V2WriterBackend ---------------------------------------------------
 
 V2WriterBackend::V2WriterBackend(std::FILE *file, std::string path)
-    : file_(file), path_(std::move(path))
+    : file_(file), path_(std::move(path)), slots_(1)
 {
     V2Header header; // counts and index offset patched in finish()
     fatal_if(std::fwrite(&header, sizeof(header), 1, file_) != 1,
              "cannot write trace header to ", path_);
     index_.blockRecords = kTraceIndexBlockRecords;
-    block_.reserve(kTraceIndexBlockRecords);
+    allocate(slots_[0]);
+    filling_ = &slots_[0].records;
+}
+
+V2WriterBackend::~V2WriterBackend()
+{
+    stopWorkers();
 }
 
 void
-V2WriterBackend::flushBlock()
+V2WriterBackend::allocate(Slot &slot)
 {
-    if (block_.empty())
+    slot.records.reserve(kTraceIndexBlockRecords);
+    slot.scratch.reserve(kTraceIndexBlockRecords);
+}
+
+void
+V2WriterBackend::encode(Slot &slot)
+{
+    V2Checkpoint state = slot.checkpoint;
+    slot.entry = encodeV2Block(slot.records.data(), slot.records.size(),
+                               state, slot.scratch);
+}
+
+void
+V2WriterBackend::startWorkers()
+{
+    const size_t cores = std::thread::hardware_concurrency();
+    const size_t workers = std::min(kMaxWorkers, cores > 1 ? cores - 1 : 0);
+    if (workers == 0)
         return;
-    V2BlockEntry entry =
-        encodeV2Block(block_.data(), block_.size(), state_, scratch_);
+    slots_.resize(workers + 1);
+    for (size_t i = 1; i < slots_.size(); ++i)
+        allocate(slots_[i]);
+    workers_.reserve(workers);
+    for (size_t i = 0; i < workers; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
+}
+
+void
+V2WriterBackend::submitBlock(bool more)
+{
+    if (more && submitted_ == 0)
+        startWorkers();
+    Slot &slot = slotOf(submitted_);
+    slot.checkpoint = next_;
+    const Record &last = slot.records.back();
+    next_.prevAddr = last.addr;
+    next_.prevPc = last.pc;
+    next_.prevAux = last.aux;
+    next_.prevTid = last.tid;
+    const bool inline_encode = workers_.empty();
+    if (inline_encode)
+        encode(slot);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        slot.encoded = inline_encode;
+        ++submitted_;
+    }
+    workReady_.notify_one();
+    // The next block reuses the slot of the block slots_.size() back.
+    while (submitted_ - written_ >= slots_.size())
+        writeOldest();
+    filling_ = &slotOf(submitted_).records;
+}
+
+void
+V2WriterBackend::writeOldest()
+{
+    Slot &slot = slotOf(written_);
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        blockEncoded_.wait(lock, [&] { return slot.encoded; });
+    }
+    V2BlockEntry entry = slot.entry;
     entry.fileOffset = nextOffset_;
-    fatal_if(std::fwrite(scratch_.encoded.data(), 1, entry.encodedBytes,
+    fatal_if(std::fwrite(slot.scratch.encoded.get(), 1, entry.encodedBytes,
                          file_) != entry.encodedBytes,
              "short write to trace file ", path_);
-    written_ += block_.size();
+    records_ += entry.records;
     nextOffset_ += entry.encodedBytes;
     index_.blocks.push_back(entry);
-    block_.clear();
+    slot.records.clear();
+    ++written_;
+}
+
+void
+V2WriterBackend::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+        workReady_.wait(lock, [&] { return stop_ || claimed_ < submitted_; });
+        if (stop_)
+            return;
+        Slot &slot = slotOf(claimed_++);
+        lock.unlock();
+        encode(slot);
+        lock.lock();
+        slot.encoded = true;
+        blockEncoded_.notify_one();
+    }
+}
+
+void
+V2WriterBackend::stopWorkers()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
+    }
+    workReady_.notify_all();
+    for (std::thread &worker : workers_)
+        worker.join();
+    workers_.clear();
 }
 
 void
 V2WriterBackend::finish()
 {
-    flushBlock();
+    if (filling_ && !filling_->empty())
+        submitBlock(/*more=*/false);
+    while (written_ < submitted_)
+        writeOldest();
+    stopWorkers();
+    std::vector<Slot>().swap(slots_);
+    filling_ = nullptr;
+
     V2IndexHeader index_header;
     index_header.blockRecords = index_.blockRecords;
     index_header.blockCount = index_.blocks.size();
@@ -684,7 +804,7 @@ V2WriterBackend::finish()
     }
 
     V2Header header;
-    header.recordCount = written_;
+    header.recordCount = records_;
     header.indexOffset = nextOffset_;
     fatal_if(std::fseek(file_, 0, SEEK_SET) != 0,
              "cannot seek in trace file ", path_);

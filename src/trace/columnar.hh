@@ -42,12 +42,14 @@
 #ifndef WEBSLICE_TRACE_COLUMNAR_HH
 #define WEBSLICE_TRACE_COLUMNAR_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -152,12 +154,21 @@ bool getVarint(const uint8_t *&p, const uint8_t *end, uint64_t &v);
 
 // ---- block codec -------------------------------------------------------
 
-/** Buffers an encoder reuses from block to block. */
+/**
+ * Buffers an encoder reuses from block to block. They are sized for
+ * the worst case but never cleared, so only the bytes a block really
+ * encodes to are ever touched.
+ */
 struct V2EncodeScratch
 {
-    std::vector<uint8_t> columns; ///< Worst-case-width column regions.
-    std::vector<uint8_t> raw;     ///< The assembled pre-LZ payload.
-    std::vector<uint8_t> encoded; ///< The compressed payload.
+    /** Grow the buffers to fit a block of `count` records. */
+    void reserve(size_t count);
+
+    size_t capacity = 0; ///< Records the buffers fit.
+    /** Worst-case column regions, compacted in place into the pre-LZ
+     *  payload. */
+    std::unique_ptr<uint8_t[]> payload;
+    std::unique_ptr<uint8_t[]> encoded; ///< The compressed payload.
 };
 
 /**
@@ -325,39 +336,103 @@ class TraceDecodeCache
 // ---- v2 writer backend -------------------------------------------------
 
 /**
- * Streaming v2 encoder used by TraceWriter: buffers one block of
- * records, encodes and writes it when full, and writes the index +
- * patches the header on finish(). File handle ownership stays with the
- * caller (TraceWriter owns open/close/rename so the atomic-rename path
- * is shared between formats).
+ * Streaming v2 encoder used by TraceWriter. A block's checkpoint is
+ * just the delta columns' values at the previous block's last record,
+ * so once a block is full it can be encoded apart from the rest: up to
+ * kMaxWorkers threads encode full blocks while the appending thread
+ * fills the next, and the appending thread writes the encoded blocks,
+ * their index entries and offsets in order. At most workers + 1
+ * blocks are in flight. A trace that fits in one block is encoded
+ * inline and starts no thread.
+ *
+ * Every buffer is allocated on the appending thread, recycled from
+ * block to block, and freed by finish(). File handle ownership stays
+ * with the caller (TraceWriter owns open/close/rename so the
+ * atomic-rename path is shared between formats).
  */
 class V2WriterBackend
 {
   public:
+    /** Most encoder threads one writer starts. */
+    static constexpr size_t kMaxWorkers = 3;
+
     V2WriterBackend(std::FILE *file, std::string path);
 
-    /** Buffer one record; encodes and writes a block when full. */
+    /** Joins the workers; an unfinished file stays unfinished. */
+    ~V2WriterBackend();
+
+    V2WriterBackend(const V2WriterBackend &) = delete;
+    V2WriterBackend &operator=(const V2WriterBackend &) = delete;
+
+    /**
+     * Buffer one record. A full block is handed off when the next
+     * record arrives, so a trace of exactly one block never starts the
+     * workers.
+     */
     void
     append(const Record &rec)
     {
-        block_.push_back(rec);
-        if (block_.size() >= kTraceIndexBlockRecords)
-            flushBlock();
+        if (filling_->size() == kTraceIndexBlockRecords)
+            submitBlock(/*more=*/true);
+        filling_->push_back(rec);
     }
 
-    /** Flush the final partial block, write the index, patch header. */
+    /** Write every block and the index, patch the header, stop the
+     *  workers and free the buffers. */
     void finish();
 
   private:
-    void flushBlock();
+    /** One block's records and encoder buffers, reused around a ring. */
+    struct Slot
+    {
+        std::vector<Record> records;
+        V2Checkpoint checkpoint;
+        V2EncodeScratch scratch;
+        V2BlockEntry entry;
+        bool encoded = false; ///< Guarded by mutex_.
+    };
+
+    Slot &slotOf(uint64_t block) { return slots_[block % slots_.size()]; }
+
+    /** Allocate a slot's buffers (on the appending thread). */
+    static void allocate(Slot &slot);
+
+    /** Encode `slot`'s records from its checkpoint. */
+    static void encode(Slot &slot);
+
+    /**
+     * Hand the filling block to encoding and make room for the next.
+     * `more` says records follow, which starts the workers at the
+     * first block.
+     */
+    void submitBlock(bool more);
+
+    /** Start the workers and grow the ring to workers + 1 slots. */
+    void startWorkers();
+
+    /** Wait until the oldest unwritten block is encoded; write it. */
+    void writeOldest();
+
+    void workerLoop();
+    void stopWorkers();
 
     std::FILE *file_;
     std::string path_;
-    std::vector<Record> block_;
-    V2EncodeScratch scratch_;
-    V2Checkpoint state_;
+    std::vector<Slot> slots_; ///< Block b lives in slots_[b % size].
+    std::vector<Record> *filling_ = nullptr; ///< slotOf(submitted_)'s.
+    V2Checkpoint next_; ///< Checkpoint of the block being filled.
+    uint64_t submitted_ = 0; ///< Blocks handed to encoding.
+    uint64_t claimed_ = 0;   ///< Blocks a worker took; guarded by mutex_.
+    uint64_t written_ = 0;   ///< Blocks written to the file.
+
+    std::vector<std::thread> workers_;
+    std::mutex mutex_;
+    std::condition_variable workReady_;
+    std::condition_variable blockEncoded_;
+    bool stop_ = false; ///< Guarded by mutex_.
+
     V2Index index_;
-    uint64_t written_ = 0;    ///< Records written to disk so far.
+    uint64_t records_ = 0; ///< Records written to the file.
     uint64_t nextOffset_ = sizeof(V2Header); ///< Next block's offset.
 };
 

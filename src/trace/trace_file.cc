@@ -488,7 +488,7 @@ loadTraceBlockIndex(const std::string &path)
 }
 
 void
-saveTrace(const std::string &path, const std::vector<Record> &records,
+saveTrace(const std::string &path, std::span<const Record> records,
           TraceFormat format)
 {
     TraceWriter writer(path, /*block_index=*/false, format);

@@ -203,7 +203,7 @@ class MappedTrace
 };
 
 /** Write a whole in-memory trace to a file. */
-void saveTrace(const std::string &path, const std::vector<Record> &records,
+void saveTrace(const std::string &path, std::span<const Record> records,
                TraceFormat format = TraceFormat::V1);
 
 /**

@@ -23,6 +23,7 @@
 #define WEBSLICE_WORKLOADS_SITES_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,7 +133,7 @@ struct RunResult
     uint64_t cssTotalBytes = 0;
     uint64_t cssUsedBytes = 0;
 
-    const std::vector<trace::Record> &records() const
+    std::span<const trace::Record> records() const
     {
         return machine->records();
     }

@@ -63,7 +63,7 @@ generated()
 
 /** The walk's tallies equal the recount of its own verdicts. */
 void
-expectTalliesMatchRecount(const std::vector<trace::Record> &records,
+expectTalliesMatchRecount(std::span<const trace::Record> records,
                           const graph::CfgSet &cfgs,
                           const SliceResult &slice)
 {

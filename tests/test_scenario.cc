@@ -17,12 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <span>
 
 #include "scenario/generator.hh"
 #include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "support/metrics.hh"
+#include "support/stats.hh"
+#include "trace/trace_file.hh"
 #include "workloads/sites.hh"
 
 #ifndef WEBSLICE_SOURCE_DIR
@@ -44,8 +48,8 @@ scnPath(const std::string &stem)
 
 /** Record-for-record equality with a useful first-mismatch message. */
 void
-expectSameTrace(const std::vector<trace::Record> &a,
-                const std::vector<trace::Record> &b)
+expectSameTrace(std::span<const trace::Record> a,
+                std::span<const trace::Record> b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -497,6 +501,132 @@ TEST(ScenarioVerbs, ExtraTabsShareTheMachine)
     EXPECT_GT(run.extraTabs[0]->pipelineUpdates(), 0u);
     const auto solo = scenario::runSite(tinySpec());
     EXPECT_GT(run.records().size(), solo.records().size());
+}
+
+// ---- recorder golden output --------------------------------------------
+
+/**
+ * Digests of everything one recording publishes, as webslice-scenario
+ * writes it: the v2 and v1 traces, the .sym and .crit sidecars, and
+ * every thread's utilization timeline.
+ */
+struct RecordingDigests
+{
+    uint64_t records = 0;
+    uint64_t trcV2 = 0;
+    uint64_t trcV1 = 0;
+    uint64_t sym = 0;
+    uint64_t crit = 0;
+    uint64_t timelines = 0;
+};
+
+RecordingDigests
+digestRecording(const workloads::RunResult &run, const std::string &stem)
+{
+    const std::string prefix = std::string(::testing::TempDir()) + stem;
+    RecordingDigests out;
+    out.records = run.records().size();
+    for (const auto format :
+         {trace::TraceFormat::V2, trace::TraceFormat::V1}) {
+        const std::string path = prefix + ".trc";
+        {
+            trace::TraceWriter writer(path, /*block_index=*/true, format);
+            for (const auto &rec : run.records())
+                writer.append(rec);
+        }
+        (format == trace::TraceFormat::V2 ? out.trcV2 : out.trcV1) =
+            digestFile(path).fnv1a;
+        std::remove(path.c_str());
+    }
+    run.machine->symtab().save(prefix + ".sym");
+    run.machine->pixelCriteria().save(prefix + ".crit");
+    out.sym = digestFile(prefix + ".sym").fnv1a;
+    out.crit = digestFile(prefix + ".crit").fnv1a;
+    std::remove((prefix + ".sym").c_str());
+    std::remove((prefix + ".crit").c_str());
+
+    uint64_t h = kFnv1a64Offset;
+    for (size_t t = 0; t < run.machine->threadCount(); ++t) {
+        const TimeSeries &timeline =
+            run.machine->threadTimeline(static_cast<trace::ThreadId>(t));
+        const uint64_t buckets = timeline.bucketCount();
+        h = fnv1a64(&buckets, sizeof(buckets), h);
+        for (size_t b = 0; b < buckets; ++b) {
+            const double sum = timeline.sum(b);
+            const uint64_t count = timeline.count(b);
+            h = fnv1a64(&sum, sizeof(sum), h);
+            h = fnv1a64(&count, sizeof(count), h);
+        }
+    }
+    out.timelines = h;
+    return out;
+}
+
+struct RecorderGolden
+{
+    const char *name;
+    RecordingDigests digests;
+};
+
+void
+expectGolden(const RecorderGolden &golden, const workloads::RunResult &run)
+{
+    const RecordingDigests got = digestRecording(run, golden.name);
+    const RecordingDigests &want = golden.digests;
+    EXPECT_EQ(got.records, want.records) << golden.name;
+    EXPECT_EQ(got.trcV2, want.trcV2) << golden.name << " v2 .trc";
+    EXPECT_EQ(got.trcV1, want.trcV1) << golden.name << " v1 .trc";
+    EXPECT_EQ(got.sym, want.sym) << golden.name << " .sym";
+    EXPECT_EQ(got.crit, want.crit) << golden.name << " .crit";
+    EXPECT_EQ(got.timelines, want.timelines) << golden.name << " timelines";
+}
+
+// The recorder's output is pinned, not just compared with itself: the
+// .scn-vs-factory checks run both sides through the same sim::Machine,
+// so a change in how the machine assigns pcs, owners, or timeline
+// buckets would pass them. These constants are the digests the
+// recorder produced before its site table, owner map and record
+// storage were rewritten.
+TEST(RecorderGolden, PaperScenariosPublishTheSameBytes)
+{
+    const RecorderGolden goldens[] = {
+        {"amazon_desktop",
+         {2065463, 0x5eb10659baf84271ull, 0x1fea2f0dfd8b455dull,
+          0x6804cc5f77f4c9e1ull, 0xfc96889c75358908ull,
+          0x5af682a9e1dbd0d4ull}},
+        {"amazon_mobile",
+         {1249904, 0x5b5a2efc791b5b97ull, 0xf77e99c53e5030e6ull,
+          0xb7eae3cd328eafa6ull, 0x0375f22e6425103eull,
+          0xc0f7616eb64b0cb8ull}},
+        {"bing",
+         {1015109, 0x6010dd21e94aacf2ull, 0x4903c437eeaf19d7ull,
+          0x7793297b9bb63715ull, 0x2c0aa9f6c2246f8eull,
+          0xe0089757d8945ebcull}},
+        {"maps",
+         {4886765, 0x840302c6d2c5461dull, 0x839c5898a663583eull,
+          0x527f868ebcbb2defull, 0x0a80c1d37cf10e81ull,
+          0x566661ce58608cc1ull}},
+    };
+    for (const auto &golden : goldens) {
+        const auto run = scenario::runScenario(scenario::parseScenarioFile(
+            scnPath(std::string(golden.name) + ".scn")));
+        expectGolden(golden, run);
+    }
+}
+
+TEST(RecorderGolden, GeneratedMultiWorkerScenarioPublishesTheSameBytes)
+{
+    Knobs knobs;
+    knobs.jsHotness = scenario::Level::Hi;
+    knobs.workers = 4;
+    const auto run =
+        scenario::runScenario(scenario::generateScenario(11, knobs));
+    ASSERT_GT(run.machine->threadCount(), 4u);
+    expectGolden({"generated_w4",
+                  {898934, 0x3b76e5c814e247dfull, 0xf664f91b91139999ull,
+                   0x07ab5ef8726f7e43ull, 0x62c887b32319d4a5ull,
+                   0x44670bb7392f6404ull}},
+                 run);
 }
 
 } // namespace

@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/cfg.hh"
@@ -87,7 +92,7 @@ expectSameRecord(const Record &a, const Record &b, size_t i)
 }
 
 void
-expectSameRecords(const std::vector<Record> &a, const std::vector<Record> &b)
+expectSameRecords(std::span<const Record> a, std::span<const Record> b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
@@ -435,8 +440,9 @@ TEST(TraceV2, SniffsBothFormats)
 {
     const std::string v1 = tempPath("sniff_v1.trc");
     const std::string v2 = tempPath("sniff_v2.trc");
-    saveTrace(v1, {makeRecord(0)}, TraceFormat::V1);
-    saveTrace(v2, {makeRecord(0)}, TraceFormat::V2);
+    const std::vector<Record> one{makeRecord(0)};
+    saveTrace(v1, one, TraceFormat::V1);
+    saveTrace(v2, one, TraceFormat::V2);
     EXPECT_EQ(sniffTraceFormat(v1), TraceFormat::V1);
     EXPECT_EQ(sniffTraceFormat(v2), TraceFormat::V2);
     std::remove(v1.c_str());
@@ -525,6 +531,142 @@ TEST(TraceV1, AtomicWriterWorksToo)
     }
     EXPECT_EQ(loadTrace(path).size(), 100u);
     std::remove(path.c_str());
+}
+
+// ---- block-parallel writer -------------------------------------------------
+
+/** The file bytes a one-thread chain of encodeV2Block calls produces
+ *  for makeRecord(0 .. count - 1). */
+std::vector<uint8_t>
+sequentialV2Bytes(size_t count)
+{
+    std::vector<uint8_t> bytes(sizeof(V2Header));
+    std::vector<V2BlockEntry> entries;
+    V2Checkpoint state;
+    V2EncodeScratch scratch;
+    std::vector<Record> block;
+    for (size_t first = 0; first < count;
+         first += kTraceIndexBlockRecords) {
+        block.clear();
+        for (size_t i = first;
+             i < std::min(count, first + kTraceIndexBlockRecords); ++i)
+            block.push_back(makeRecord(i));
+        V2BlockEntry entry =
+            encodeV2Block(block.data(), block.size(), state, scratch);
+        entry.fileOffset = bytes.size();
+        bytes.insert(bytes.end(), scratch.encoded.get(),
+                     scratch.encoded.get() + entry.encodedBytes);
+        entries.push_back(entry);
+    }
+    V2Header header;
+    header.recordCount = count;
+    header.indexOffset = bytes.size();
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    V2IndexHeader index_header;
+    index_header.blockRecords = kTraceIndexBlockRecords;
+    index_header.blockCount = entries.size();
+    const auto *ih = reinterpret_cast<const uint8_t *>(&index_header);
+    bytes.insert(bytes.end(), ih, ih + sizeof(index_header));
+    const auto *es = reinterpret_cast<const uint8_t *>(entries.data());
+    bytes.insert(bytes.end(), es, es + entries.size() * sizeof(V2BlockEntry));
+    return bytes;
+}
+
+std::vector<uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+}
+
+/** Threads of this process, or 0 where /proc cannot tell. */
+size_t
+processThreads()
+{
+    std::error_code error;
+    size_t threads = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", error), end;
+         !error && it != end; it.increment(error))
+        ++threads;
+    return error ? 0 : threads;
+}
+
+TEST(TraceV2Writer, MatchesASequentialEncoderChain)
+{
+    // Workers start only once a second block begins, so the first three
+    // counts encode inline and the last two across the workers; every
+    // one must match the one-thread chain byte for byte.
+    const std::string path = tempPath("v2_parallel.trc");
+    const size_t counts[] = {0,
+                             1,
+                             kTraceIndexBlockRecords,
+                             kTraceIndexBlockRecords + 1,
+                             41 * kTraceIndexBlockRecords + 123};
+    for (const size_t count : counts) {
+        {
+            TraceWriter writer(path, /*block_index=*/false,
+                               TraceFormat::V2);
+            for (size_t i = 0; i < count; ++i)
+                writer.append(makeRecord(i));
+        }
+        EXPECT_TRUE(fileBytes(path) == sequentialV2Bytes(count))
+            << count << " records";
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceV2Writer, NoWorkerOutlivesTheWriter)
+{
+    const size_t before = processThreads();
+    if (before == 0)
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    const std::string path = tempPath("v2_unclosed.trc");
+    const size_t count = 5 * kTraceIndexBlockRecords + 7;
+    {
+        // Destroyed without finish(): the workers are joined, and the
+        // half-written file stays half-written.
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        {
+            V2WriterBackend writer(file, path);
+            for (size_t i = 0; i < count; ++i)
+                writer.append(makeRecord(i));
+            if (std::thread::hardware_concurrency() > 1) {
+                EXPECT_GT(processThreads(), before);
+            }
+        }
+        EXPECT_EQ(processThreads(), before);
+        std::fclose(file);
+    }
+    {
+        // A TraceWriter left to its destructor closes the file whole.
+        {
+            TraceWriter writer(path, /*block_index=*/false,
+                               TraceFormat::V2);
+            for (size_t i = 0; i < count; ++i)
+                writer.append(makeRecord(i));
+        }
+        EXPECT_EQ(processThreads(), before);
+        EXPECT_TRUE(fileBytes(path) == sequentialV2Bytes(count));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceV2WriterDeath, ShortWriteIsFatalWithThePath)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // /dev/full takes the header into the stdio buffer, then fails the
+    // first block write, while the workers are encoding the next ones.
+    EXPECT_DEATH(
+        {
+            TraceWriter writer("/dev/full", /*block_index=*/false,
+                               TraceFormat::V2);
+            for (size_t i = 0; i < 6 * kTraceIndexBlockRecords; ++i)
+                writer.append(makeRecord(i));
+            writer.close();
+        },
+        "short write to trace file /dev/full");
 }
 
 // ---- ranged loads, block index, mmap view ----------------------------------
