@@ -22,7 +22,11 @@
  *    warm is its repeat (answered from the result cache). The ratio of
  *    the medians is `warm_backward_speedup`;
  *  - warm throughput: single-query batches at 1, 4, and 8 concurrent
- *    client connections — queries/sec plus p50/p99 round trip latency.
+ *    client connections — queries/sec plus p50/p99 round trip latency;
+ *  - the per-query staleness check: `artifact_digest_mb_per_s` is the
+ *    recording's artifact bytes over the median of 15
+ *    trace::digestArtifacts calls with a warm page cache, the hash every
+ *    query pays in SessionCache::acquire, even a cached repeat.
  *
  * Throughput queries use distinct window ends so no two requests ever
  * dedup into one job: those numbers measure the scheduler, not the
@@ -57,6 +61,7 @@
 #include "service/server.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
+#include "trace/artifacts.hh"
 #include "trace/trace_file.hh"
 #include "scenario/generator.hh"
 #include "scenario/run.hh"
@@ -407,6 +412,24 @@ runFleet(const workloads::RunResult &run,
     return sample;
 }
 
+/** Artifact bytes of `prefix` hashed per second (MB/s): the median of
+ *  15 trace::digestArtifacts calls after one page-cache warm-up. */
+double
+artifactDigestMbPerS(const std::string &prefix)
+{
+    uint64_t bytes = 0;
+    for (const auto &artifact : trace::digestArtifacts(prefix))
+        bytes += artifact.digest.bytes;
+    std::vector<double> seconds;
+    for (int rep = 0; rep < 15; ++rep) {
+        const double t0 = bench::nowSeconds();
+        trace::digestArtifacts(prefix);
+        seconds.push_back(bench::nowSeconds() - t0);
+    }
+    std::sort(seconds.begin(), seconds.end());
+    return static_cast<double>(bytes) / 1e6 / seconds[seconds.size() / 2];
+}
+
 } // namespace
 
 int
@@ -490,6 +513,11 @@ main(int argc, char **argv)
     std::printf("site %s: %s records, %zu criteria "
                 "(mode x window end)\n",
                 spec.name.c_str(), withCommas(records).c_str(), queries);
+
+    // ---- per-query staleness check -----------------------------------------
+    const double digest_mb_per_s = artifactDigestMbPerS(prefix);
+    std::printf("  artifact digest (every acquire):  %8.0f MB/s\n",
+                digest_mb_per_s);
 
     service::ServerOptions options;
     options.socketPath = socket_path;
@@ -604,6 +632,8 @@ main(int argc, char **argv)
           << "    \"site\": \"" << jsonEscape(spec.name) << "\",\n"
           << "    \"records\": " << run.records().size() << ",\n"
           << "    \"criteria\": " << queries << ",\n"
+          << "    \"artifact_digest_mb_per_s\": "
+          << format("%.1f", digest_mb_per_s) << ",\n"
           << "    \"session_build_ms\": "
           << format("%.3f", session_build_ms) << ",\n"
           << "    \"cold_criterion_p50_ms\": "

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "support/content_hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
@@ -190,8 +191,8 @@ main(int argc, char **argv)
                              &s == &v1 ? trace::TraceFormat::V1
                                        : trace::TraceFormat::V2);
         });
-    const auto digest_v1 = digestFile(v1.path);
-    const auto digest_v2 = digestFile(v2.path);
+    const auto digest_v1 = hashFile(v1.path);
+    const auto digest_v2 = hashFile(v2.path);
     v1.bytes = digest_v1.bytes;
     v2.bytes = digest_v2.bytes;
 

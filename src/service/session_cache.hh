@@ -10,7 +10,7 @@
  * CFGs, postdominators, and the sealed control-dependence map. Repeat
  * queries against a cached session skip the entire forward pass.
  *
- * Cache keying follows the artifact digests (FNV-1a-64 of the .trc/
+ * Cache keying follows the artifact digests (contentHash64 of the .trc/
  * .sym/.crit/.meta bytes): a prefix whose files changed on disk is a
  * different recording and invalidates its stale entry. Entries are
  * evicted least-recently-used once the configured byte budget is

@@ -147,7 +147,11 @@ uint64_t currentRssBytes();
 /** Process-lifetime peak resident set size in bytes (0 if unknown). */
 uint64_t peakRssBytes();
 
-/** Size and FNV-1a-64 content digest of an artifact file. */
+/**
+ * Size and byte-serial FNV-1a-64 digest of a file. Artifact identity
+ * uses the word-wide hashFile (support/content_hash.hh); this digest
+ * stays for callers that pin FNV-1a values of files.
+ */
 struct FileDigest
 {
     bool ok = false;

@@ -3,6 +3,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "support/metrics.hh"
+
 namespace webslice {
 namespace trace {
 
@@ -31,11 +33,11 @@ digestArtifacts(const std::string &prefix, bool include_values)
     std::vector<ArtifactDigest> digests;
     for (const char *ext : kRequiredExtensions) {
         const std::string path = prefix + ext;
-        digests.push_back({path, digestFile(path)});
+        digests.push_back({path, hashFile(path)});
     }
     if (include_values) {
         const std::string path = prefix + kValuesExtension;
-        digests.push_back({path, digestFile(path)});
+        digests.push_back({path, hashFile(path)});
     }
     return digests;
 }
@@ -43,20 +45,18 @@ digestArtifacts(const std::string &prefix, bool include_values)
 uint64_t
 combinedArtifactDigest(const std::vector<ArtifactDigest> &digests)
 {
-    uint64_t hash = kFnv1a64Offset;
+    ContentHasher hasher;
     for (const ArtifactDigest &entry : digests) {
         // Fold presence first so "file appeared" differs from "file
         // with the same bytes was already there".
         const uint8_t present = entry.digest.ok ? 1 : 0;
-        hash = fnv1a64(&present, 1, hash);
+        hasher.update(&present, 1);
         if (!entry.digest.ok)
             continue;
-        hash = fnv1a64(&entry.digest.bytes, sizeof(entry.digest.bytes),
-                       hash);
-        hash = fnv1a64(&entry.digest.fnv1a, sizeof(entry.digest.fnv1a),
-                       hash);
+        hasher.addU64(entry.digest.bytes);
+        hasher.addU64(entry.digest.hash);
     }
-    return hash;
+    return hasher.digest();
 }
 
 std::string
@@ -76,8 +76,8 @@ artifactDigestsJson(const std::string &prefix, bool include_values)
             continue;
         }
         out << "{\"bytes\": " << entry.digest.bytes
-            << ", \"fnv1a64\": \"0x" << std::hex << std::setw(16)
-            << std::setfill('0') << entry.digest.fnv1a << std::dec
+            << ", \"hash64\": \"0x" << std::hex << std::setw(16)
+            << std::setfill('0') << entry.digest.hash << std::dec
             << std::setfill(' ') << "\"}";
     }
     out << "\n  }";

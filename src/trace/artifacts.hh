@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/metrics.hh"
+#include "support/content_hash.hh"
 #include "trace/criteria.hh"
 #include "trace/run_meta.hh"
 #include "trace/symtab.hh"
@@ -42,23 +42,25 @@ struct ArtifactSidecars
  */
 ArtifactSidecars loadArtifactSidecars(const std::string &prefix);
 
-/** (path, digest) for each artifact of a recording, in a fixed order. */
+/** (path, content hash) for each artifact of a recording, in a fixed
+ *  order. */
 struct ArtifactDigest
 {
     std::string path;
-    FileDigest digest;
+    FileHash digest;
 };
 
 /**
- * Digest the artifact files of `prefix`: .trc, .sym, .crit, .meta, and
- * (with include_values) .val. Unreadable files keep digest.ok == false
- * rather than failing, so optional sidecars report as absent.
+ * Hash every byte of the artifact files of `prefix` (hashFile): .trc,
+ * .sym, .crit, .meta, and (with include_values) .val. Unreadable files
+ * keep digest.ok == false rather than failing, so optional sidecars
+ * report as absent.
  */
 std::vector<ArtifactDigest> digestArtifacts(const std::string &prefix,
                                             bool include_values = false);
 
 /**
- * Fold a digest list into one FNV-1a-64 identity for the whole
+ * Fold a digest list into one content-hash identity for the whole
  * recording. Any changed byte in any artifact changes the fold; a
  * missing-but-listed artifact contributes a fixed marker so presence
  * changes are visible too.
@@ -67,7 +69,7 @@ uint64_t combinedArtifactDigest(const std::vector<ArtifactDigest> &digests);
 
 /**
  * The digests as the JSON object both metrics reports embed: path ->
- * {"bytes": N, "fnv1a64": "0x..."} with null for unreadable files.
+ * {"bytes": N, "hash64": "0x..."} with null for unreadable files.
  */
 std::string artifactDigestsJson(const std::string &prefix,
                                 bool include_values = false);

@@ -76,7 +76,16 @@ traceFileIdentity(const std::string &path, uint64_t file_bytes)
         identity = fnv1a64(&st.st_dev, sizeof(st.st_dev), identity);
         identity = fnv1a64(&st.st_ino, sizeof(st.st_ino), identity);
         identity = fnv1a64(&st.st_size, sizeof(st.st_size), identity);
-        identity = fnv1a64(&st.st_mtime, sizeof(st.st_mtime), identity);
+#if defined(__APPLE__)
+        const struct timespec times[2] = {st.st_mtimespec, st.st_ctimespec};
+#else
+        const struct timespec times[2] = {st.st_mtim, st.st_ctim};
+#endif
+        for (const struct timespec &t : times) {
+            const int64_t parts[2] = {static_cast<int64_t>(t.tv_sec),
+                                      static_cast<int64_t>(t.tv_nsec)};
+            identity = fnv1a64(parts, sizeof(parts), identity);
+        }
         return identity;
     }
 #endif

@@ -114,9 +114,11 @@ static_assert(sizeof(V2IndexHeader) == 24,
               "v2 index header layout must stay fixed");
 
 /**
- * Stable identity of a trace file on disk (device/inode/size/mtime
- * folded; falls back to path+size). Keys the decode cache and the
- * bytes-on-disk dedup.
+ * Stable identity of a trace file on disk: device, inode, size, mtime
+ * and ctime, both times to the nanosecond (falls back to path+size).
+ * Keys the decode cache and the bytes-on-disk dedup. The ctime is what
+ * catches a same-size rewrite in place whose mtime was set back (or
+ * fell within the same mtime tick): no file call sets a ctime back.
  */
 uint64_t traceFileIdentity(const std::string &path, uint64_t file_bytes);
 

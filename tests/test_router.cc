@@ -313,6 +313,23 @@ TEST(FleetClient, RoutesByDigestAndAgreesAcrossClients)
     EXPECT_EQ(one.stats().duplicates, 0u);
 }
 
+TEST(FleetClient, OwnershipOfAFixedBundleIsPinned)
+{
+    // Clients built from different commits must agree on who owns a
+    // recording: its artifact digest and ring placement are pinned.
+    const std::string prefix = tempPath("fleet_pinned");
+    for (const char *ext : {".trc", ".sym", ".crit", ".meta"})
+        std::ofstream(prefix + ext, std::ios::binary)
+            << "pinned artifact " << ext << '\n';
+    FleetClient client(endpointSet(4));
+    EXPECT_EQ(client.digestFor(prefix), 0x2541220ca3d2b769ull);
+    EXPECT_EQ(client.ownersFor(prefix),
+              (std::vector<std::string>{"/tmp/shard-2.sock",
+                                        "/tmp/shard-1.sock"}));
+    for (const char *ext : {".trc", ".sym", ".crit", ".meta"})
+        std::remove((prefix + ext).c_str());
+}
+
 TEST(FleetClient, ShardDeathMidBatchLosesAndDuplicatesNothing)
 {
     const SavedProgram program("fleet_kill", /*salt=*/32);

@@ -22,7 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -488,6 +490,67 @@ TEST(SessionCache, ChangedArtifactInvalidatesTheEntry)
     EXPECT_EQ(stats.invalidations, 1u);
     EXPECT_EQ(stats.built, 2u);
     EXPECT_EQ(stats.entries, 1u);
+}
+
+/** XOR one byte of `path` in place, then put its mtime back, so size
+ *  and mtime both match the file before the change. */
+void
+flipByteKeepingMtime(const std::string &path, uint64_t offset)
+{
+    struct stat before;
+    ASSERT_EQ(::stat(path.c_str(), &before), 0);
+    {
+        std::fstream io(path,
+                        std::ios::binary | std::ios::in | std::ios::out);
+        io.seekg(static_cast<std::streamoff>(offset));
+        char byte = 0;
+        io.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x01);
+        io.seekp(static_cast<std::streamoff>(offset));
+        io.write(&byte, 1);
+        ASSERT_TRUE(io.good()) << path << " offset " << offset;
+    }
+    const struct timespec times[2] = {before.st_atim, before.st_mtim};
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+    struct stat after;
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    ASSERT_EQ(after.st_size, before.st_size);
+    ASSERT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+    ASSERT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+}
+
+TEST(SessionCache, AnyFlippedByteInvalidatesDespiteSizeAndMtime)
+{
+    // The staleness check reads content, not metadata: one flipped bit
+    // at the first, a middle or the last byte of any artifact, with
+    // size and mtime unchanged, is a different recording.
+    const SavedProgram program("flip", /*salt=*/6);
+    for (const char *ext : {".trc", ".sym", ".crit", ".meta"}) {
+        const std::string path = program.prefix + ext;
+        struct stat st;
+        ASSERT_EQ(::stat(path.c_str(), &st), 0);
+        const auto size = static_cast<uint64_t>(st.st_size);
+        ASSERT_GT(size, 0u) << path;
+        for (const uint64_t offset : {uint64_t{0}, size / 2, size - 1}) {
+            SCOPED_TRACE(path + " offset " + std::to_string(offset));
+            SessionCache cache(1ull << 30);
+            const auto original = cache.acquire(program.prefix);
+
+            flipByteKeepingMtime(path, offset);
+            bool hit = true;
+            std::shared_ptr<const Session> after;
+            try {
+                after = cache.acquire(program.prefix, &hit);
+            } catch (const FatalError &) {
+                // A corrupt artifact may fail the rebuild loudly.
+            }
+            EXPECT_EQ(cache.stats().invalidations, 1u);
+            EXPECT_FALSE(hit);
+            EXPECT_NE(after.get(), original.get());
+
+            flipByteKeepingMtime(path, offset); // restore the recording
+        }
+    }
 }
 
 TEST(SessionCache, ConcurrentAcquiresBuildOnce)

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the support layer: strings, sparse byte set, stats,
- * tables, and the deterministic RNG.
+ * tables, the deterministic RNG, and the content hash.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "support/content_hash.hh"
 #include "support/rng.hh"
 #include "support/sparse_byte_set.hh"
 #include "support/stats.hh"
@@ -428,6 +431,133 @@ TEST(Rng, RealInUnitInterval)
         EXPECT_GE(r, 0.0);
         EXPECT_LT(r, 1.0);
     }
+}
+
+// ---- content hash ----------------------------------------------------------
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> bytes(n);
+    for (auto &b : bytes)
+        b = static_cast<uint8_t>(rng.next());
+    return bytes;
+}
+
+uint64_t
+hashInTwo(const std::vector<uint8_t> &bytes, size_t split)
+{
+    ContentHasher hasher;
+    hasher.update(bytes.data(), split);
+    hasher.update(bytes.data() + split, bytes.size() - split);
+    return hasher.digest();
+}
+
+TEST(ContentHash, StreamingEqualsOneShotForEverySplit)
+{
+    for (size_t n = 0; n <= 97; ++n) {
+        const auto bytes = randomBytes(n, n + 1);
+        const uint64_t whole = contentHash64(bytes.data(), n);
+        for (size_t split = 0; split <= n; ++split)
+            ASSERT_EQ(hashInTwo(bytes, split), whole)
+                << "length " << n << " split at " << split;
+    }
+    const auto big = randomBytes(1 << 20, 99);
+    const uint64_t whole = contentHash64(big.data(), big.size());
+    for (const size_t split : {1, 31, 32, 33, 65537})
+        EXPECT_EQ(hashInTwo(big, split), whole) << "split at " << split;
+}
+
+TEST(ContentHash, DigestLeavesTheHasherUsable)
+{
+    const auto bytes = randomBytes(80, 5);
+    ContentHasher hasher;
+    hasher.update(bytes.data(), 40);
+    EXPECT_EQ(hasher.digest(), contentHash64(bytes.data(), 40));
+    hasher.update(bytes.data() + 40, 40);
+    EXPECT_EQ(hasher.digest(), contentHash64(bytes.data(), 80));
+}
+
+TEST(ContentHash, EveryBitFlipChangesTheHash)
+{
+    for (size_t n = 0; n <= 97; ++n) {
+        auto bytes = randomBytes(n, 1000 + n);
+        const uint64_t base = contentHash64(bytes.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                bytes[i] ^= static_cast<uint8_t>(1u << bit);
+                ASSERT_NE(contentHash64(bytes.data(), n), base)
+                    << "length " << n << " byte " << i << " bit " << bit;
+                bytes[i] ^= static_cast<uint8_t>(1u << bit);
+            }
+        }
+    }
+    auto big = randomBytes(1 << 20, 7);
+    const uint64_t base = contentHash64(big.data(), big.size());
+    Rng rng(2024);
+    for (int probe = 0; probe < 4096; ++probe) {
+        const size_t at = rng.below(big.size());
+        const auto mask = static_cast<uint8_t>(1u << rng.below(8));
+        big[at] ^= mask;
+        ASSERT_NE(contentHash64(big.data(), big.size()), base)
+            << "byte " << at << " mask " << int(mask);
+        big[at] ^= mask;
+    }
+}
+
+TEST(ContentHash, LengthIsPartOfTheHash)
+{
+    // Trailing zero bytes must not vanish into the lanes' state.
+    const std::vector<uint8_t> zeros(64, 0);
+    std::set<uint64_t> seen;
+    for (size_t n = 0; n <= zeros.size(); ++n)
+        seen.insert(contentHash64(zeros.data(), n));
+    EXPECT_EQ(seen.size(), zeros.size() + 1);
+}
+
+TEST(ContentHash, HashFileMatchesTheOneShotHash)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "content_hash.bin";
+    for (const size_t n : {0, 1, 31, 32, 65535, 65536, 65537,
+                           3 * 65536 + 17}) {
+        const auto bytes = randomBytes(n, n);
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        if (n > 0) { // an empty vector's data() may be null
+            ASSERT_EQ(std::fwrite(bytes.data(), 1, n, file), n);
+        }
+        std::fclose(file);
+        const FileHash hashed = hashFile(path);
+        EXPECT_TRUE(hashed.ok);
+        EXPECT_EQ(hashed.bytes, n);
+        EXPECT_EQ(hashed.hash, contentHash64(bytes.data(), n))
+            << "file of " << n << " bytes";
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ContentHash, UnreadableFileIsNotOk)
+{
+    const std::string dir = ::testing::TempDir();
+    EXPECT_FALSE(hashFile(dir + "no-such-content-hash.bin").ok);
+    EXPECT_FALSE(hashFile(dir).ok); // a directory opens but cannot be read
+}
+
+TEST(ContentHash, GoldenValues)
+{
+    // Shards of a fleet route a recording by this hash: a change to the
+    // function makes two builds disagree on who owns what.
+    EXPECT_EQ(contentHash64(nullptr, 0), 0xc1620d0a2dcaa9d2ull);
+    const char text[] = "webslice artifact identity";
+    EXPECT_EQ(contentHash64(text, sizeof(text) - 1),
+              0x0f2c0fcbc1e47705ull);
+    std::vector<uint8_t> ramp(1000);
+    for (size_t i = 0; i < ramp.size(); ++i)
+        ramp[i] = static_cast<uint8_t>(i * 7 + 3);
+    EXPECT_EQ(contentHash64(ramp.data(), ramp.size()),
+              0x239e8554595b57c9ull);
 }
 
 } // namespace

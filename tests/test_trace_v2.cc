@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
@@ -915,6 +920,70 @@ TEST_F(BigV2Trace, DecodeCacheEvictsUnderTinyBudget)
 
     cache.setBudget(default_budget);
     cache.clear();
+}
+
+std::vector<char>
+readWholeFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(TraceDecodeCacheContract, SameSizeRewriteWithRestoredMtimeIsNotStale)
+{
+    // A rewrite in place at the same size whose mtime is put back keeps
+    // device, inode, size and mtime: only the ctime tells the decoded
+    // blocks of the old bytes from the new file.
+    const std::string path = tempPath("v2_rewrite.trc");
+    const std::string other = tempPath("v2_rewrite_other.trc");
+    std::vector<Record> before;
+    for (size_t i = 0; i < 3000; ++i)
+        before.push_back(makeRecord(i));
+    saveTrace(path, before, TraceFormat::V2);
+    const auto old_bytes = readWholeFile(path);
+
+    // A different recording whose v2 file has exactly the same size.
+    std::vector<Record> after;
+    std::vector<char> new_bytes;
+    for (size_t k = 0; k < before.size() && new_bytes.empty(); k += 7) {
+        after = before;
+        after[k].addr ^= 1;
+        saveTrace(other, after, TraceFormat::V2);
+        if (auto bytes = readWholeFile(other);
+            bytes.size() == old_bytes.size() && bytes != old_bytes)
+            new_bytes = std::move(bytes);
+    }
+    std::remove(other.c_str());
+    ASSERT_FALSE(new_bytes.empty()) << "no same-size variant found";
+
+    auto &cache = TraceDecodeCache::global();
+    cache.clear();
+    expectSameRecords(before, loadTraceRange(path, 0, before.size()));
+    ASSERT_GE(cache.stats().entries, 1u);
+
+    struct stat old_stat;
+    ASSERT_EQ(::stat(path.c_str(), &old_stat), 0);
+    // Long enough for the ctime to move even on a coarse kernel clock.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, new_bytes.data(), new_bytes.size(), 0),
+              static_cast<ssize_t>(new_bytes.size()));
+    ::close(fd);
+    const struct timespec times[2] = {old_stat.st_atim, old_stat.st_mtim};
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+
+    struct stat new_stat;
+    ASSERT_EQ(::stat(path.c_str(), &new_stat), 0);
+    ASSERT_EQ(new_stat.st_ino, old_stat.st_ino);
+    ASSERT_EQ(new_stat.st_size, old_stat.st_size);
+    ASSERT_EQ(new_stat.st_mtim.tv_sec, old_stat.st_mtim.tv_sec);
+    ASSERT_EQ(new_stat.st_mtim.tv_nsec, old_stat.st_mtim.tv_nsec);
+
+    expectSameRecords(after, loadTraceRange(path, 0, after.size()));
+    cache.clear();
+    std::remove(path.c_str());
 }
 
 /** A multi-block v2 recording of a machine run, with its symbols. */

@@ -38,6 +38,7 @@
 #include "scenario/generator.hh"
 #include "scenario/run.hh"
 #include "scenario/scenario.hh"
+#include "support/content_hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
@@ -134,9 +135,9 @@ recordScenario(const scenario::Scenario &sc, const std::string &prefix,
     stats.prefix = prefix;
     stats.records = run.records().size();
     stats.loadCompleteIndex = run.loadCompleteIndex;
-    const auto digest = digestFile(prefix + ".trc");
+    const FileHash digest = hashFile(prefix + ".trc");
     stats.traceBytes = digest.bytes;
-    stats.traceDigest = digest.fnv1a;
+    stats.traceDigest = digest.hash;
     stats.recordSeconds =
         std::chrono::duration<double>(t1 - t0).count();
 
